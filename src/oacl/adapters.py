@@ -1,4 +1,4 @@
-"""Bottleneck adapters: the standard tanh variant and the gated variant whose
+"""Gated bottleneck adapters: bias-free linear down/up projections whose
 effective dimension is governed by a trainable soft-threshold mask."""
 
 from __future__ import annotations
@@ -8,36 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .numerics import Node, Param, Tape, as_matrix
-
-
-def soft_threshold(g, tau: float) -> np.ndarray:
-    """gamma_i = sign(g_i) * max(|g_i| - tau, 0)."""
-    if tau <= 0.0:
-        raise ContractError(f"threshold must be positive, got {tau}")
-    g = np.asarray(g, dtype=np.float64)
-    return np.sign(g) * np.maximum(np.abs(g) - tau, 0.0)
-
-
-def soft_threshold_backward(g, tau: float, upstream) -> tuple[np.ndarray, float]:
-    """Gradients of the shrinkage operator.
-
-    On active coordinates (|g_i| > tau) the output is a shift of g_i, so
-    dg_i = upstream_i there, else 0; dtau = sum of -upstream_i * sign(g_i)
-    over the same coordinates. Coordinates with |g_i| == tau exactly count
-    as inactive.
-    """
-    if tau <= 0.0:
-        raise ContractError(f"threshold must be positive, got {tau}")
-    g = np.asarray(g, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if g.shape != upstream.shape:
-        raise DimensionError(f"upstream shape {upstream.shape} does not match g {g.shape}")
-    active = np.abs(g) > tau
-    sign = np.sign(g)
-    dg = np.where(active, upstream, 0.0)
-    dtau = float(-(upstream * sign)[active].sum())
-    return dg, dtau
+from .numerics import Node, Param, Tape, as_matrix, soft_threshold
+from .numerics import soft_threshold_backward  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -101,10 +73,6 @@ class OAAdapter:
         return b"".join(p.value.tobytes() for p in self.params())
 
 
-def _as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
-
-
 def oa_delta(tape: Tape, adapter: OAAdapter, x: Node) -> Node:
     """Residual contribution W2 . diag(gamma) . W1 . x for a batch x (n, d)."""
     z = tape.matmul(x, tape.transpose(adapter.W1))
@@ -116,7 +84,7 @@ def oa_delta(tape: Tape, adapter: OAAdapter, x: Node) -> Node:
 
 def oa_forward(tape: Tape, adapter: OAAdapter, x) -> Node:
     """y = x + W2 . diag(soft(g; tau)) . W1 . x, fully tape-recorded."""
-    x = _as_node(x)
+    x = x if isinstance(x, Node) else Node(x)
     if x.shape[1] != adapter.d:
         raise DimensionError(f"input width {x.shape[1]} does not match adapter d={adapter.d}")
     return tape.add(x, oa_delta(tape, adapter, x))
@@ -145,29 +113,3 @@ def snapshot_mask(adapter: OAAdapter) -> MaskSnapshot:
     gamma = adapter.gamma()
     active = np.flatnonzero(gamma != 0.0)
     return MaskSnapshot(gamma=gamma, active_indices=active, r_eff=int(active.size))
-
-
-class StandardAdapter:
-    """Classic bottleneck adapter y = x + W2 tanh(W1 x + b1) + b2."""
-
-    def __init__(self, d: int, r: int, rng: np.random.Generator):
-        if r > d:
-            raise ContractError(f"bottleneck r={r} must not exceed d={d}")
-        bound = 1.0 / np.sqrt(d)
-        self.d = d
-        self.r = r
-        self.W1 = Param(rng.uniform(-bound, bound, size=(r, d)))
-        self.b1 = Param(np.zeros((1, r)))
-        self.W2 = Param(rng.uniform(-W2_INIT_SCALE, W2_INIT_SCALE, size=(d, r)))
-        self.b2 = Param(np.zeros((1, d)))
-
-    def params(self) -> list[Param]:
-        return [self.W1, self.b1, self.W2, self.b2]
-
-
-def std_forward(tape: Tape, adapter: StandardAdapter, x) -> Node:
-    x = _as_node(x)
-    if x.shape[1] != adapter.d:
-        raise DimensionError(f"input width {x.shape[1]} does not match adapter d={adapter.d}")
-    h = tape.tanh(tape.add(tape.matmul(x, tape.transpose(adapter.W1)), adapter.b1))
-    return tape.add(tape.add(x, tape.matmul(h, tape.transpose(adapter.W2))), adapter.b2)

@@ -11,11 +11,14 @@ import numpy as np
 
 from .adapters import OAAdapter, oa_delta
 from .errors import DimensionError, PretrainingError, ProtocolError
+from .metrics import accuracy
 from .numerics import Node, Param, Tape
 from .optim import Adam
+from .orthogonality import activated_basis
 from .tasks import TaskDataset
 
 CHECKPOINT_MAGIC = "OACL1"
+ADAPTER_PARAMS = ("W1", "W2", "g", "tau")  # checkpoint keys adapter/p{point}/t{t}/{name}
 SEED_BACKBONE_INIT = 201
 SEED_PRETRAIN_SHUFFLE = 202
 
@@ -85,8 +88,6 @@ def begin_task(stack: AdapterStack, t: int, r_max: int, tau_init: float, *,
 def end_task(stack: AdapterStack) -> AdapterStack:
     if stack.active_task is None:
         raise ProtocolError("end_task without an open task")
-    from .orthogonality import activated_basis
-
     t = stack.active_task
     for point, adapters in enumerate(stack.points):
         adapters[t - 1].freeze()
@@ -153,8 +154,7 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
         tape.backward(loss)
         opt.step()
 
-    preds = predict_logits(backbone, None, x_val).argmax(axis=1)
-    acc = float((preds == y_val).mean())
+    acc = accuracy(predict_logits(backbone, None, x_val), y_val)
     backbone.pretrain_accuracy = acc
     if acc < 0.60:
         raise PretrainingError(
@@ -166,24 +166,25 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
 # -- checkpoint serialization ------------------------------------------
 
 
+def _backbone_keys(L: int) -> list[str]:
+    """Checkpoint keys of Backbone.params(), in the same order."""
+    return ["backbone/embed", *(f"backbone/hidden{i}" for i in range(L)), "backbone/head"]
+
+
 def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
     """Single self-describing binary file (npz) with magic string OACL1."""
     arrays = {
         "magic": np.array(CHECKPOINT_MAGIC),
         "dims": np.array([backbone.d_in, backbone.d, backbone.L, backbone.C]),
-        "backbone/embed": backbone.embed.value,
-        "backbone/head": backbone.head.value,
         "n_tasks": np.array(stack.task_count),
     }
-    for i, w in enumerate(backbone.hidden):
-        arrays[f"backbone/hidden{i}"] = w.value
+    for key, p in zip(_backbone_keys(backbone.L), backbone.params()):
+        arrays[key] = p.value
     for point, adapters in enumerate(stack.points):
         for t, a in enumerate(adapters, start=1):
             prefix = f"adapter/p{point}/t{t}"
-            arrays[f"{prefix}/W1"] = a.W1.value
-            arrays[f"{prefix}/W2"] = a.W2.value
-            arrays[f"{prefix}/g"] = a.g.value
-            arrays[f"{prefix}/tau"] = a.tau.value
+            for name in ADAPTER_PARAMS:
+                arrays[f"{prefix}/{name}"] = getattr(a, name).value
             arrays[f"{prefix}/flags"] = np.array(
                 [int(a.frozen), int(a.mask_enabled)])
     with open(path, "wb") as f:
@@ -191,30 +192,27 @@ def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
 
 
 def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
+    """Rebuild the model through the task lifecycle: begin_task per saved task,
+    its saved parameters copied in, end_task for tasks that were frozen. A task
+    saved while open is left open."""
     with np.load(path, allow_pickle=False) as z:
         if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not an {CHECKPOINT_MAGIC} checkpoint")
         d_in, d, L, C = (int(v) for v in z["dims"])
         backbone = Backbone(d_in, d, L, C, seed=0)
-        backbone.embed = Param(z["backbone/embed"], frozen=True)
-        backbone.head = Param(z["backbone/head"], frozen=True)
-        backbone.hidden = [Param(z[f"backbone/hidden{i}"], frozen=True) for i in range(L)]
+        for key, p in zip(_backbone_keys(L), backbone.params()):
+            p.value[...] = z[key]
+        backbone.freeze()
         stack = AdapterStack(L)
-        n_tasks = int(z["n_tasks"])
-        rng = np.random.default_rng(0)
-        for point in range(L):
-            for t in range(1, n_tasks + 1):
-                prefix = f"adapter/p{point}/t{t}"
-                frozen, mask_enabled = (bool(v) for v in z[f"{prefix}/flags"])
-                a = OAAdapter(d, z[f"{prefix}/W1"].shape[0],
-                              float(z[f"{prefix}/tau"][0, 0]), rng,
-                              mask_enabled=mask_enabled)
-                a.W1 = Param(z[f"{prefix}/W1"], frozen=frozen)
-                a.W2 = Param(z[f"{prefix}/W2"], frozen=frozen)
-                a.g = Param(z[f"{prefix}/g"], frozen=frozen or not mask_enabled)
-                a.tau = Param(z[f"{prefix}/tau"], frozen=frozen or not mask_enabled)
-                stack.points[point].append(a)
-            from .orthogonality import activated_basis
-            stack.bases[point] = [activated_basis(a, t + 1)
-                                  for t, a in enumerate(stack.points[point]) if a.frozen]
+        rng = np.random.default_rng(0)  # initial values are overwritten below
+        for t in range(1, int(z["n_tasks"]) + 1):
+            frozen, mask_enabled = (bool(v) for v in z[f"adapter/p0/t{t}/flags"])
+            begin_task(stack, t, z[f"adapter/p0/t{t}/W1"].shape[0],
+                       float(z[f"adapter/p0/t{t}/tau"][0, 0]), d=d, rng=rng,
+                       mask_enabled=mask_enabled)
+            for point, a in enumerate(stack.trainable_adapters()):
+                for name in ADAPTER_PARAMS:
+                    getattr(a, name).value[...] = z[f"adapter/p{point}/t{t}/{name}"]
+            if frozen:
+                end_task(stack)
     return backbone, stack

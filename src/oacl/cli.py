@@ -31,6 +31,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 COMPARE_TOKENS = ("oa_adapter", "o_adapter", "inc_adapter", "dynamic", "fixed")
+# Accepted YAML value types per declared scalar field type.
+FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -73,7 +75,18 @@ def _dataclass_from_dict(cls, data: dict, where: str):
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        want = FIELD_TYPES.get(f.type)
+        if f.name in data and want and not isinstance(data[f.name], want):
+            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {data[f.name]!r}")
     return data
+
+
+def _as_int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from e
 
 
 def load_config(path) -> ExperimentConfig:
@@ -102,15 +115,21 @@ def load_config(path) -> ExperimentConfig:
     if bad_compare:
         raise ConfigError(f"compare: unknown keys {sorted(bad_compare)}")
 
+    seed = _as_int(raw.get("seed", 0), "seed")
     cfg = ExperimentConfig(
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         out_dir=str(raw.get("out_dir", "runs/run")),
         backbone=backbone,
         stream=stream,
-        train=TrainConfig(**{**train_kwargs, "seed": int(raw.get("seed", 0))}),
+        train=TrainConfig(**{**train_kwargs, "seed": seed}),
         compare_variants=list(compare.get("variants", [])),
-        compare_seeds=[int(s) for s in compare.get("seeds", [])],
+        compare_seeds=[_as_int(s, "compare.seeds") for s in compare.get("seeds", [])],
     )
+    if backbone.layers < 1:
+        raise ConfigError(f"backbone.layers must be >= 1, got {backbone.layers}")
+    if not 2 <= backbone.classes <= backbone.d_in:
+        raise ConfigError(f"backbone.classes must lie in [2, d_in={backbone.d_in}] "
+                          f"for the cluster generator, got {backbone.classes}")
     if cfg.stream.shift not in ("rotation", "rotation+relabel"):
         raise ConfigError(f"stream.shift: unknown value {cfg.stream.shift!r}")
     for v in cfg.compare_variants:
@@ -310,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--deterministic", action="store_true", default=True)
 
     p_cmp = sub.add_parser("compare", help="run a variant/seed grid")
     p_cmp.add_argument("--config", required=True)

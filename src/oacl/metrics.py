@@ -35,14 +35,12 @@ class AccuracyMatrix:
             raise DataError("final column of the accuracy matrix is not fully populated")
 
 
-def accuracy(model_view, split) -> float:
-    """Fraction of argmax-correct predictions; logit ties break toward the
-    lowest class index (numpy argmax convention)."""
-    x, y = split
-    if len(y) == 0:
+def accuracy(logits, labels) -> float:
+    """Fraction of rows whose argmax logit is the label; logit ties break
+    toward the lowest class index (numpy argmax convention)."""
+    if len(labels) == 0:
         raise DataError("cannot evaluate accuracy on an empty split")
-    logits = model_view(x)
-    return float((logits.argmax(axis=1) == y).mean())
+    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def avg_final_accuracy(m: AccuracyMatrix) -> float:

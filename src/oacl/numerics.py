@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericalError
 
 
 def as_matrix(x) -> np.ndarray:
@@ -29,8 +29,49 @@ def as_matrix(x) -> np.ndarray:
 
 def _finite(a: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(a).all():
-        raise FloatingPointError(f"non-finite values produced by {op}")
+        raise NumericalError(f"non-finite values produced by {op}")
     return a
+
+
+# -- the soft-threshold gate ------------------------------------------
+# gamma = soft(g; tau), shared by the tape op and OAAdapter.gamma(). The two
+# kernels do no validation; their callers check tau and shapes once.
+
+
+def _gate(g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma, active, sign): gamma_i = sign(g_i) * (|g_i| - tau) where
+    |g_i| > tau, else 0.0; |g_i| == tau exactly counts as inactive."""
+    active = np.abs(g) > tau
+    sign = np.sign(g)
+    return np.where(active, sign * (np.abs(g) - tau), 0.0), active, sign
+
+
+def _gate_backward(active: np.ndarray, sign: np.ndarray, upstream: np.ndarray):
+    """(dg, dtau): gamma is a shift of g on active dims, so dgamma/dg = 1
+    there and 0 elsewhere; dgamma/dtau = -sign(g) over the same dims."""
+    return np.where(active, upstream, 0.0), -(upstream * sign)[active].sum()
+
+
+def _check_threshold(tau: float) -> float:
+    if tau <= 0.0:
+        raise ContractError(f"threshold must be positive, got {tau}")
+    return tau
+
+
+def soft_threshold(g, tau: float) -> np.ndarray:
+    """gamma_i = sign(g_i) * max(|g_i| - tau, 0)."""
+    return _gate(np.asarray(g, dtype=np.float64), _check_threshold(tau))[0]
+
+
+def soft_threshold_backward(g, tau: float, upstream) -> tuple[np.ndarray, float]:
+    """Gradients (dg, dtau) of soft(g; tau) given the upstream gradient."""
+    g = np.asarray(g, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if g.shape != upstream.shape:
+        raise DimensionError(f"upstream shape {upstream.shape} does not match g {g.shape}")
+    _, active, sign = _gate(g, _check_threshold(tau))
+    dg, dtau = _gate_backward(active, sign, upstream)
+    return dg, float(dtau)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,25 +244,16 @@ class Tape:
         return self._push(out, (a,), back)
 
     def soft_threshold(self, g: Node, tau: Node) -> Node:
-        """gamma_i = sign(g_i) * max(|g_i| - tau, 0), with the kink convention
-        that |g_i| == tau exactly counts as inactive (zero subgradient)."""
+        """Gate gamma = soft(g; tau) for a scalar threshold node (see _gate)."""
         if tau.shape != (1, 1):
             raise DimensionError(f"threshold must be scalar, got shape {tau.shape}")
-        tv = float(tau.value[0, 0])
-        if tv <= 0.0:
-            raise ContractError(f"threshold must be positive, got {tv}")
-        gv = g.value
-        active = np.abs(gv) > tv
-        sign = np.sign(gv)
-        out = Node(np.where(active, sign * (np.abs(gv) - tv), 0.0))
-        self.mask_patterns.append(active.copy())
+        gamma, active, sign = _gate(g.value, _check_threshold(float(tau.value[0, 0])))
+        out = Node(gamma)
+        self.mask_patterns.append(active)
 
         def back(up):
-            # gamma is a shift of g on active dims, so dgamma/dg = 1 there;
-            # dgamma/dtau = -sign(g).
-            dg = np.where(active, up, 0.0)
-            dtau = np.array([[-(up * sign)[active].sum()]])
-            return dg, dtau
+            dg, dtau = _gate_backward(active, sign, up)
+            return dg, np.array([[dtau]])
 
         return self._push(out, (g, tau), back)
 

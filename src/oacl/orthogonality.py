@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import OAAdapter
+from .adapters import OAAdapter, snapshot_mask
 from .errors import DimensionError, ProtocolError
 from .numerics import Node, Tape
 
@@ -23,9 +23,9 @@ class ActivatedBasis:
 def activated_basis(adapter: OAAdapter, task_id: int) -> ActivatedBasis:
     if not adapter.frozen:
         raise ProtocolError("activated basis may only be extracted from a frozen adapter")
-    gamma = adapter.gamma()
-    active = np.flatnonzero(gamma != 0.0)
-    w2t = adapter.W2.value[:, active] * gamma[active]
+    snap = snapshot_mask(adapter)
+    active = snap.active_indices
+    w2t = adapter.W2.value[:, active] * snap.gamma[active]
     return ActivatedBasis(task_id=task_id, W2_tilde=w2t)
 
 

@@ -9,7 +9,6 @@ task defined over the same classes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,24 +143,3 @@ def reorder(stream: TaskStream, permutation) -> TaskStream:
         raise ConfigError(f"{perm} is not a permutation of 1..{T}")
     return TaskStream(tasks=[stream.tasks[p - 1] for p in perm],
                       order_id="-".join(str(p) for p in perm))
-
-
-def export_csv(split: Split, path):
-    """One row per sample: d_in feature columns then the integer label."""
-    x, y = split
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{i}" for i in range(x.shape[1])] + ["label"])
-        for xi, yi in zip(x, y):
-            w.writerow([repr(float(v)) for v in xi] + [int(yi)])
-
-
-def import_csv(path) -> Split:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][-1] != "label":
-        raise DataError(f"{path} is not a dataset CSV")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    if data.size == 0:
-        raise DataError(f"{path} contains no samples")
-    return data[:, :-1], data[:, -1].astype(np.int64)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacl.adapters import (OAAdapter, StandardAdapter, oa_forward,
-                           outer_product_form, snapshot_mask, soft_threshold,
-                           soft_threshold_backward, std_forward)
+from oacl.adapters import (OAAdapter, oa_forward, outer_product_form,
+                           snapshot_mask, soft_threshold, soft_threshold_backward)
 from oacl.errors import ContractError, DimensionError
 from oacl.numerics import Tape, zero_grads
 
@@ -190,34 +189,7 @@ class TestSnapshotMask:
         ad.g.value[...] = rng.uniform(-1, 1, size=(1, 6))
         tau = float(ad.tau.value[0, 0])
         assert snapshot_mask(ad).r_eff == int((np.abs(ad.g.value) > tau).sum())
-
-
-class TestStandardAdapter:
-    def test_zero_w2_and_b2_identity(self):
-        ad = StandardAdapter(5, 3, np.random.default_rng(0))
-        ad.W2.value[...] = 0.0
-        x = np.random.default_rng(1).standard_normal((2, 5))
-        assert np.array_equal(std_forward(Tape(), ad, x).value, x)
-
-    def test_zero_w1_b1_gives_x_plus_b2(self):
-        ad = StandardAdapter(4, 2, np.random.default_rng(0))
-        ad.W1.value[...] = 0.0
-        ad.b2.value[...] = [[1.0, 2.0, 3.0, 4.0]]
-        x = np.zeros((1, 4))
-        assert np.allclose(std_forward(Tape(), ad, x).value,
-                           [[1.0, 2.0, 3.0, 4.0]], atol=1e-15)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(8)
-        ad = StandardAdapter(4, 3, rng)
-        ad.b1.value[...] = rng.standard_normal((1, 3))
-        ad.b2.value[...] = rng.standard_normal((1, 4))
-        x = rng.standard_normal(4)
-        hidden = np.tanh(ad.W1.value @ x + ad.b1.value[0])
-        expected = x + ad.W2.value @ hidden + ad.b2.value[0]
-        got = std_forward(Tape(), ad, x).value[0]
-        assert np.abs(got - expected).max() < 1e-12
-
-    def test_r_exceeding_d_rejected(self):
-        with pytest.raises(ContractError):
-            StandardAdapter(3, 4, np.random.default_rng(0))
+        # One gate: the adapter's gamma is bit for bit the gamma the tape
+        # trains with, including +0.0 on negative inactive gates.
+        taped = Tape().soft_threshold(ad.g, ad.tau).value[0]
+        assert ad.gamma().tobytes() == taped.tobytes()

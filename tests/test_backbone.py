@@ -204,6 +204,29 @@ class TestCheckpoint:
                 assert np.array_equal(stack.bases[point][i].W2_tilde,
                                       stack2.bases[point][i].W2_tilde)
 
+    def test_open_task_survives_round_trip(self, tmp_path):
+        bb = small_backbone(seed=7)
+        bb.freeze()
+        stack = fresh_stack(bb, n_tasks=2, tau=1e-3)  # task 1 frozen, task 2 open
+        rng = np.random.default_rng(8)
+        for a in stack.trainable_adapters():
+            a.W2.value[...] = rng.standard_normal((D, 4))
+            a.g.value[...] = rng.uniform(-1, 1, size=(1, 4))
+        p = tmp_path / "open.oacl.npz"
+        save_checkpoint(p, bb, stack)
+        _, stack2 = load_checkpoint(p)
+        assert stack2.active_task == 2
+        trainable = stack2.trainable_adapters()
+        assert trainable == [point[1] for point in stack2.points]
+        assert [a.state_bytes() for a in trainable] == [
+            a.state_bytes() for a in stack.trainable_adapters()]
+        assert not any(q.frozen for a in trainable for q in a.params())
+        assert [[b.task_id for b in bases] for bases in stack2.bases] == [[1]] * L
+        with pytest.raises(ProtocolError):
+            begin_task(stack2, 3, 4, 1e-3, d=D, rng=rng)
+        end_task(stack2)
+        assert stack2.active_task is None
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "other.npz"
         np.savez(p, magic=np.array("OTHER"), x=np.ones(3))

@@ -182,3 +182,15 @@ class TestExitCodes:
         p = write_config(tmp_path, {"train": {"variant": "lora"}})
         assert main(["run", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("extra", [
+        {"seed": "abc"},
+        {"train": {"lr": "fast"}},
+        {"backbone": {"layers": 0}},
+        {"backbone": {"classes": 40, "d_in": 32}},
+    ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in"])
+    def test_bad_value_rejected_before_compute(self, tmp_path, extra):
+        p = write_config(tmp_path, extra)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()

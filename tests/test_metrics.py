@@ -36,22 +36,22 @@ class TestAccuracyMatrix:
 class TestAccuracy:
     def test_perfect_and_chance(self):
         x = np.eye(3)
-        assert accuracy(lambda v: v, (x, np.array([0, 1, 2]))) == 1.0
-        assert accuracy(lambda v: v, (x, np.array([1, 2, 0]))) == 0.0
+        assert accuracy(x, np.array([0, 1, 2])) == 1.0
+        assert accuracy(x, np.array([1, 2, 0])) == 0.0
 
     def test_fractional(self):
         logits = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         y = np.array([0, 1, 1, 1])
-        assert accuracy(lambda v: logits, (logits, y)) == 0.75
+        assert accuracy(logits, y) == 0.75
 
     def test_tie_breaks_to_lowest_index(self):
         logits = np.zeros((2, 4))
-        assert accuracy(lambda v: logits, (logits, np.array([0, 0]))) == 1.0
-        assert accuracy(lambda v: logits, (logits, np.array([1, 2]))) == 0.0
+        assert accuracy(logits, np.array([0, 0])) == 1.0
+        assert accuracy(logits, np.array([1, 2])) == 0.0
 
     def test_empty_split_rejected(self):
         with pytest.raises(DataError):
-            accuracy(lambda v: v, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+            accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestForgetting:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacl.errors import ContractError, DimensionError
+from oacl.errors import ContractError, DimensionError, NumericalError
 from oacl.numerics import (Node, Param, Tape, check_gradients, matmul,
                            zero_grads)
 
@@ -35,6 +35,12 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_overflow_raises_numerical_error(self):
+        t = Tape()
+        big = Node(np.full((2, 2), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="matmul"):
+            t.matmul(big, big)
 
 
 class TestBackward:

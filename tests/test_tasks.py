@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oacl.errors import ConfigError, DataError, GenerationError
-from oacl.tasks import (NOISE_SIGMA, export_csv, gen_base, gen_task_stream,
-                        import_csv, random_orthogonal, reorder)
+from oacl.tasks import (NOISE_SIGMA, gen_base, gen_task_stream,
+                        random_orthogonal, reorder)
 
 
 class TestClusterGeometry:
@@ -139,25 +139,3 @@ class TestReorder:
             reorder(stream, [1, 2, 2])
         with pytest.raises(ConfigError):
             reorder(stream, [0, 1, 2])
-
-
-class TestCsvRoundTrip:
-    def test_export_import_is_bitwise_exact(self, tmp_path):
-        split = gen_base(9, 8, 32, 5).val
-        p = tmp_path / "split.csv"
-        export_csv(split, p)
-        x, y = import_csv(p)
-        assert np.array_equal(x, split[0])
-        assert np.array_equal(y, split[1])
-
-    def test_import_rejects_non_dataset(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(DataError):
-            import_csv(p)
-
-    def test_import_rejects_empty(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        p.write_text("x0,label\n")
-        with pytest.raises(DataError):
-            import_csv(p)
