@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapters import OAAdapter, oa_delta
-from .errors import DimensionError, PretrainingError, ProtocolError
+from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
 from .numerics import Node, Param, Tape
 from .optim import Adam
@@ -39,8 +39,7 @@ class Backbone:
         self.embed = init(d, d_in, d_in)
         self.hidden = [init(d, d, d) for _ in range(L)]
         self.head = init(C, d, d)
-        self.pretrain_accuracy: float | None = None
-        self.random_warning = False  # set when returned without pretraining
+        self.pretrain_accuracy: float | None = None  # None when not pretrained
 
     def params(self) -> list[Param]:
         return [self.embed, *self.hidden, self.head]
@@ -123,13 +122,14 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
                        lr: float = 3e-3, batch_size: int = 32) -> Backbone:
     """Train a fresh backbone on the base distribution, then freeze it.
 
-    A zero step budget returns a frozen random backbone with a warning flag.
+    A zero step budget returns a frozen random backbone (pretrain_accuracy None).
     Failing to reach 60% held-out accuracy after the budget signals a broken
     generator or config.
     """
+    if steps < 0 or batch_size < 1:
+        raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
     backbone = Backbone(d_in, d, L, C, seed)
     if steps == 0:
-        backbone.random_warning = True
         backbone.freeze()
         return backbone
 

@@ -20,17 +20,19 @@ import numpy as np
 import yaml
 
 from .backbone import build_and_pretrain, save_checkpoint
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, GenerationError, NumericalError, PretrainingError
 from .metrics import avg_final_accuracy, budget_report, forgetting_per_task
 from .orthogonality import stack_overlap_summary
 from .tasks import gen_base, gen_task_stream, reorder
-from .trainer import TrainConfig, run_sequence
+from .trainer import THRESHOLD_MODES, VARIANTS, TrainConfig, run_sequence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-COMPARE_TOKENS = ("oa_adapter", "o_adapter", "inc_adapter", "dynamic", "fixed")
+COMPARE_TOKENS = VARIANTS + THRESHOLD_MODES
+# Errors from a config, or from the data and backbone it describes; exit 2.
+INPUT_ERRORS = (ConfigError, DataError, GenerationError, PretrainingError)
 # Accepted YAML value types per declared scalar field type.
 FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -82,11 +84,11 @@ def _dataclass_from_dict(cls, data: dict, where: str):
     return data
 
 
-def _as_int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from e
+def _check_seed(value, where: str) -> int:
+    """Seeds are non-negative ints, the values numpy's seeding accepts."""
+    if not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where}: expected a non-negative int, got {value!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -109,33 +111,33 @@ def load_config(path) -> ExperimentConfig:
         StreamConfig, raw.get("stream", {}), "stream"))
     train_kwargs = _dataclass_from_dict(TrainConfig, raw.get("train", {}), "train")
     compare = raw.get("compare", {})
-    if compare and not isinstance(compare, dict):
+    if not isinstance(compare, dict):
         raise ConfigError("compare: expected a mapping")
     bad_compare = set(compare) - {"variants", "seeds"}
     if bad_compare:
         raise ConfigError(f"compare: unknown keys {sorted(bad_compare)}")
 
-    seed = _as_int(raw.get("seed", 0), "seed")
-    cfg = ExperimentConfig(
+    seed = _check_seed(raw.get("seed", 0), "seed")
+    variants = compare.get("variants", [])
+    seeds = compare.get("seeds", [])
+    if not isinstance(variants, list) or not all(v in COMPARE_TOKENS for v in variants):
+        raise ConfigError(f"compare.variants: expected a list drawn from {COMPARE_TOKENS}, "
+                          f"got {variants!r}")
+    if not isinstance(seeds, list):
+        raise ConfigError(f"compare.seeds: expected a list, got {seeds!r}")
+    seeds = [_check_seed(s, "compare.seeds") for s in seeds]
+    if backbone.layers < 1 or backbone.d < 1:
+        raise ConfigError("backbone.layers and backbone.d must be >= 1, "
+                          f"got {backbone.layers} and {backbone.d}")
+    return ExperimentConfig(
         seed=seed,
         out_dir=str(raw.get("out_dir", "runs/run")),
         backbone=backbone,
         stream=stream,
         train=TrainConfig(**{**train_kwargs, "seed": seed}),
-        compare_variants=list(compare.get("variants", [])),
-        compare_seeds=[_as_int(s, "compare.seeds") for s in compare.get("seeds", [])],
+        compare_variants=variants,
+        compare_seeds=seeds,
     )
-    if backbone.layers < 1:
-        raise ConfigError(f"backbone.layers must be >= 1, got {backbone.layers}")
-    if not 2 <= backbone.classes <= backbone.d_in:
-        raise ConfigError(f"backbone.classes must lie in [2, d_in={backbone.d_in}] "
-                          f"for the cluster generator, got {backbone.classes}")
-    if cfg.stream.shift not in ("rotation", "rotation+relabel"):
-        raise ConfigError(f"stream.shift: unknown value {cfg.stream.shift!r}")
-    for v in cfg.compare_variants:
-        if v not in COMPARE_TOKENS:
-            raise ConfigError(f"compare.variants: {v!r} not in {COMPARE_TOKENS}")
-    return cfg
 
 
 def _config_snapshot(cfg: ExperimentConfig) -> dict:
@@ -148,25 +150,24 @@ def _config_snapshot(cfg: ExperimentConfig) -> dict:
 
 
 def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Pretrain, run the task sequence, and persist all artifacts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Generate the data, pretrain, run the task sequence, and persist all
+    artifacts. The generators check the data fields of the config, so a bad
+    value fails before the output directory or any training exists."""
     started = time.perf_counter()
-
-    bb = cfg.backbone
+    bb, st = cfg.backbone, cfg.stream
     base = gen_base(cfg.seed, bb.classes, bb.d_in, bb.pretrain_per_class)
-    backbone = build_and_pretrain(
-        cfg.seed, bb.d_in, bb.d, bb.layers, bb.classes, base,
-        steps=bb.pretrain_steps, lr=bb.pretrain_lr,
-        batch_size=bb.pretrain_batch_size)
-
-    st = cfg.stream
     stream = gen_task_stream(
         cfg.seed, st.tasks, bb.classes, bb.d_in,
         n_train_per_class=st.n_train_per_class, shift=st.shift,
         n_val_per_class=st.n_val_per_class, n_test_per_class=st.n_test_per_class)
-    if st.order:
+    if st.order is not None:
         stream = reorder(stream, st.order)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    backbone = build_and_pretrain(
+        cfg.seed, bb.d_in, bb.d, bb.layers, bb.classes, base,
+        steps=bb.pretrain_steps, lr=bb.pretrain_lr,
+        batch_size=bb.pretrain_batch_size)
     result = run_sequence(backbone, stream, cfg.train)
     wall = time.perf_counter() - started
 
@@ -220,7 +221,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def _variant_config(cfg: ExperimentConfig, token: str, seed: int) -> ExperimentConfig:
     train = dataclasses.asdict(cfg.train)
-    if token in ("dynamic", "fixed"):
+    if token in THRESHOLD_MODES:
         train["variant"] = "oa_adapter"
         train["threshold_mode"] = token
     else:
@@ -232,6 +233,7 @@ def _variant_config(cfg: ExperimentConfig, token: str, seed: int) -> ExperimentC
 def cmd_run(config_path, out_override=None, seed_override=None) -> int:
     cfg = load_config(config_path)
     if seed_override is not None:
+        _check_seed(seed_override, "--seed")
         cfg = dataclasses.replace(
             cfg, seed=seed_override,
             train=dataclasses.replace(cfg.train, seed=seed_override))
@@ -243,14 +245,11 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
 def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> int:
     cfg = load_config(config_path)
     variants = list(variants) if variants else cfg.compare_variants
-    seeds = list(seeds) if seeds else (cfg.compare_seeds or [cfg.seed])
+    seeds = ([_check_seed(s, "--seeds") for s in seeds] if seeds
+             else (cfg.compare_seeds or [cfg.seed]))
     if len(variants) < 2:
         raise ConfigError("compare needs at least two variants")
-    for v in variants:
-        if v not in COMPARE_TOKENS:
-            raise ConfigError(f"unknown variant {v!r}")
     out_dir = Path(out_override) if out_override else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     failures = 0
@@ -275,6 +274,7 @@ def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> in
             repr(float(np.mean(saved))) if saved else "",
         ])
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "compare.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["variant", "n_seeds", "mean_avg_final_accuracy",
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run a variant/seed grid")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--variants", nargs="*", default=None)
+    p_cmp.add_argument("--variants", nargs="*", choices=COMPARE_TOKENS, default=None)
     p_cmp.add_argument("--seeds", nargs="*", type=int, default=None)
 
     p_rep = sub.add_parser("report", help="summarize a run directory")
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
             return cmd_compare(args.config, args.variants, args.seeds, args.out)
         if args.command == "report":
             return cmd_report(args.run_dir, args.other_dir)
-    except ConfigError as e:
+    except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as e:

@@ -3,7 +3,7 @@ and parameter-budget accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class BudgetReport:
     avg_final_budget: float
     params_saved_fraction: float
     r_max: int
-    extra: dict = field(default_factory=dict)
 
 
 def budget_report(stack) -> BudgetReport:

@@ -9,7 +9,7 @@ task defined over the same classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class TaskDataset:
     train: Split
     val: Split
     test: Split
-    descriptor: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -88,14 +87,12 @@ def gen_base(seed: int, C: int, d_in: int, n_train_per_class: int,
     for k, n in enumerate((n_train_per_class, n_val_per_class, n_test_per_class)):
         rng = np.random.default_rng([seed, SEED_SPLIT, 0, k])
         splits.append(_sample_split(rng, means, n))
-    return TaskDataset(task_id=0, train=splits[0], val=splits[1], test=splits[2],
-                       descriptor={"kind": "base", "noise": NOISE_SIGMA})
+    return TaskDataset(task_id=0, train=splits[0], val=splits[1], test=splits[2])
 
 
 def gen_task_stream(seed: int, T: int, C: int, d_in: int,
                     n_train_per_class: int = 250, shift: str = "rotation",
-                    n_val_per_class: int = 50, n_test_per_class: int = 100,
-                    rotation_override: dict[int, np.ndarray] | None = None) -> TaskStream:
+                    n_val_per_class: int = 50, n_test_per_class: int = 100) -> TaskStream:
     """Task 1 is the base distribution; every later task rotates the inputs
     by a fresh random orthogonal matrix (and permutes labels for
     shift='rotation+relabel')."""
@@ -105,12 +102,14 @@ def gen_task_stream(seed: int, T: int, C: int, d_in: int,
         raise ConfigError(f"unknown shift {shift!r}")
     if n_train_per_class <= 0:
         raise DataError(f"n_train_per_class must be positive, got {n_train_per_class}")
+    if n_val_per_class < 0:
+        raise DataError(f"n_val_per_class must be non-negative, got {n_val_per_class}")
+    if n_test_per_class <= 0:
+        raise DataError(f"n_test_per_class must be positive, got {n_test_per_class}")
     means = _cluster_means(seed, C, d_in)
     tasks = []
     for t in range(1, T + 1):
-        if rotation_override and t in rotation_override:
-            q = np.asarray(rotation_override[t], dtype=np.float64)
-        elif t == 1:
+        if t == 1:
             q = np.eye(d_in)
         else:
             q = random_orthogonal(np.random.default_rng([seed, SEED_ROTATION, t]), d_in)
@@ -125,21 +124,17 @@ def gen_task_stream(seed: int, T: int, C: int, d_in: int,
             if relabel is not None:
                 y = relabel[y]
             splits.append((x, y))
-        tasks.append(TaskDataset(
-            task_id=t, train=splits[0], val=splits[1], test=splits[2],
-            descriptor={
-                "kind": "task", "shift": shift, "noise": NOISE_SIGMA,
-                "rotation_seed": [seed, SEED_ROTATION, t] if t > 1 else None,
-                "label_permutation": relabel.tolist() if relabel is not None else None,
-            }))
+        tasks.append(TaskDataset(task_id=t, train=splits[0], val=splits[1], test=splits[2]))
     return TaskStream(tasks=tasks, order_id="-".join(str(t) for t in range(1, T + 1)))
 
 
 def reorder(stream: TaskStream, permutation) -> TaskStream:
-    """Reorder the stream by a 1-based permutation of [1..T]."""
+    """Reorder the stream by a 1-based permutation of [1..T], given as a list
+    or tuple of ints."""
     T = len(stream.tasks)
-    perm = list(permutation)
-    if sorted(perm) != list(range(1, T + 1)):
-        raise ConfigError(f"{perm} is not a permutation of 1..{T}")
-    return TaskStream(tasks=[stream.tasks[p - 1] for p in perm],
-                      order_id="-".join(str(p) for p in perm))
+    if not (isinstance(permutation, (list, tuple))
+            and all(type(p) is int for p in permutation)
+            and sorted(permutation) == list(range(1, T + 1))):
+        raise ConfigError(f"{permutation!r} is not a permutation of 1..{T}")
+    return TaskStream(tasks=[stream.tasks[p - 1] for p in permutation],
+                      order_id="-".join(str(p) for p in permutation))

@@ -8,7 +8,6 @@ at identity (gamma = 1, g and tau untrainable), and ``inc_adapter`` is
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +78,8 @@ class TrainConfig:
 @dataclass
 class TaskTrainReport:
     task_id: int
-    final_task_loss: float
-    final_orth_loss: float
     r_eff_per_layer: list[int]
     steps: int
-    wall_time: float
 
 
 @dataclass
@@ -142,7 +138,6 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
     params = _trainable_params(stack, config)
     opt = make_optimizer(config.optimizer, params, config.lr)
     rng = np.random.default_rng([config.seed, SEED_TASK_SHUFFLE, t])
-    started = time.perf_counter()
     step = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -154,23 +149,15 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
             parts = total_loss(tape, logits, y_train[idx], stack, t, config)
             tape.backward(parts.total)
             opt.step()
-            if config.mask_enabled and config.threshold_mode == "dynamic":
-                for adapter in stack.trainable_adapters():
-                    adapter.clamp_tau()
+            for adapter in stack.trainable_adapters():
+                adapter.clamp_tau()
             step += 1
             if eval_hook is not None and step % EVAL_INTERVAL == 0:
                 eval_hook(step_offset + step)
 
-    # Deterministic end-of-task loss snapshot for the report.
-    probe = slice(0, min(config.batch_size, n))
-    tape = Tape()
-    logits = forward(backbone, stack, x_train[probe], tape)
-    parts = total_loss(tape, logits, y_train[probe], stack, t, config)
     r_eff = [snapshot_mask(a).r_eff for a in stack.trainable_adapters()]
     end_task(stack)
-    return TaskTrainReport(
-        task_id=t, final_task_loss=parts.task, final_orth_loss=parts.orth,
-        r_eff_per_layer=r_eff, steps=step, wall_time=time.perf_counter() - started)
+    return TaskTrainReport(task_id=t, r_eff_per_layer=r_eff, steps=step)
 
 
 @dataclass

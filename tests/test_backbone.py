@@ -5,7 +5,7 @@ from oacl.adapters import OAAdapter
 from oacl.backbone import (AdapterStack, Backbone, begin_task,
                            build_and_pretrain, end_task, forward,
                            load_checkpoint, predict_logits, save_checkpoint)
-from oacl.errors import DimensionError, PretrainingError, ProtocolError
+from oacl.errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from oacl.numerics import Tape, zero_grads
 from oacl.tasks import gen_base
 
@@ -139,7 +139,6 @@ class TestPretraining:
         assert bb.pretrain_accuracy is not None
         assert bb.pretrain_accuracy > 0.60
         assert all(p.frozen for p in bb.params())
-        assert not bb.random_warning
 
     def test_trivially_separable_data_reaches_95(self):
         # two classes, well separated: near-perfect held-out accuracy
@@ -149,8 +148,14 @@ class TestPretraining:
 
     def test_zero_budget_returns_random_frozen_backbone(self, base_data):
         bb = build_and_pretrain(0, D_IN, D, L, C, base_data, steps=0)
-        assert bb.random_warning
+        assert bb.pretrain_accuracy is None
         assert all(p.frozen for p in bb.params())
+
+    def test_negative_steps_or_empty_batch_rejected(self, base_data):
+        with pytest.raises(ConfigError):
+            build_and_pretrain(0, D_IN, D, L, C, base_data, steps=-1)
+        with pytest.raises(ConfigError):
+            build_and_pretrain(0, D_IN, D, L, C, base_data, batch_size=0)
 
     def test_insufficient_budget_raises(self, base_data):
         with pytest.raises(PretrainingError):

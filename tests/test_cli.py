@@ -188,9 +188,41 @@ class TestExitCodes:
         {"train": {"lr": "fast"}},
         {"backbone": {"layers": 0}},
         {"backbone": {"classes": 40, "d_in": 32}},
-    ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in"])
+        {"stream": {"order": [1, 1]}},
+        {"stream": {"order": 5}},
+        {"stream": {"tasks": 0}},
+        {"stream": {"n_test_per_class": 0}},
+        {"seed": 3.7},
+        {"compare": {"seeds": [1.9]}},
+        {"seed": -1},
+        {"backbone": {"d": 0}},
+        {"compare": None},
+        {"compare": {"variants": 5}},
+    ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
+            "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
+            "seed_float", "compare_seed_float", "seed_negative", "zero_width",
+            "compare_null", "compare_variants_not_list"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backbone", [
+        {"pretrain_steps": 3},
+        {"pretrain_batch_size": 0},
+    ], ids=["too_few_steps", "zero_batch"])
+    def test_bad_pretraining_rejected(self, tmp_path, backbone):
+        # checked by pretraining itself, after the output directory exists
+        p = write_config(tmp_path, {"backbone": backbone})
+        assert main(["run", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_negative_seed_argument_rejected(self, tmp_path):
+        p = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out),
+                     "--seed", "-1"]) == EXIT_CONFIG
+        assert main(["compare", "--config", str(p), "--out", str(out),
+                     "--variants", "oa_adapter", "fixed", "--seeds", "0", "-1"]) == EXIT_CONFIG
         assert not out.exists()

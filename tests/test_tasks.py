@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oacl.errors import ConfigError, DataError, GenerationError
-from oacl.tasks import (NOISE_SIGMA, gen_base, gen_task_stream,
+from oacl.tasks import (NOISE_SIGMA, SEED_RELABEL, SEED_ROTATION, SEED_SPLIT,
+                        _cluster_means, _sample_split, gen_base, gen_task_stream,
                         random_orthogonal, reorder)
+
+
+def unrotated_task2_train(seed, C, d_in, n_per_class):
+    """Oracle: task 2's training split before its rotation is applied."""
+    rng = np.random.default_rng([seed, SEED_SPLIT, 2, 0])
+    return _sample_split(rng, _cluster_means(seed, C, d_in), n_per_class)
 
 
 class TestClusterGeometry:
@@ -19,7 +26,6 @@ class TestClusterGeometry:
             assert abs(np.linalg.norm(m) - 1.0) < 0.2
 
     def test_pairwise_angle_at_least_60_degrees(self):
-        from oacl.tasks import _cluster_means
         m = _cluster_means(3, 8, 32)
         gram = m @ m.T
         np.fill_diagonal(gram, 0.0)
@@ -58,6 +64,10 @@ class TestSplits:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(DataError):
             gen_task_stream(0, 2, 8, 32, n_train_per_class=0)
+        with pytest.raises(DataError):
+            gen_task_stream(0, 2, 8, 32, n_test_per_class=0)
+        with pytest.raises(DataError):
+            gen_task_stream(0, 2, 8, 32, n_val_per_class=-1)
         with pytest.raises(ConfigError):
             gen_task_stream(0, 0, 8, 32)
         with pytest.raises(ConfigError):
@@ -83,39 +93,33 @@ class TestDeterminismAndShift:
         base = gen_base(5, 8, 32, 250)
         stream = gen_task_stream(5, 2, 8, 32, n_train_per_class=250)
         t1 = stream.tasks[0]
-        assert t1.descriptor["rotation_seed"] is None
         for c in range(8):
             mb = base.train[0][base.train[1] == c].mean(axis=0)
             mt = t1.train[0][t1.train[1] == c].mean(axis=0)
             assert np.linalg.norm(mb - mt) < 0.3
 
     def test_rotation_applied_exactly(self):
-        # pin the task-2 rotation via the override hook: the two streams share
-        # pre-rotation draws, so the data differ by exactly the rotation
-        q = random_orthogonal(np.random.default_rng(99), 32)
-        ident = gen_task_stream(2, 2, 8, 32, rotation_override={2: np.eye(32)})
-        rotated = gen_task_stream(2, 2, 8, 32, rotation_override={2: q})
-        assert np.allclose(rotated.tasks[1].train[0],
-                           ident.tasks[1].train[0] @ q.T, atol=1e-12)
-        assert np.allclose(np.linalg.norm(rotated.tasks[1].train[0], axis=1),
-                           np.linalg.norm(ident.tasks[1].train[0], axis=1),
+        # task 2 is its own unrotated draws times its own rotation, exactly
+        x0, y0 = unrotated_task2_train(2, 8, 32, 250)
+        q = random_orthogonal(np.random.default_rng([2, SEED_ROTATION, 2]), 32)
+        x, y = gen_task_stream(2, 2, 8, 32).tasks[1].train
+        assert np.allclose(x, x0 @ q.T, atol=1e-12)
+        assert np.array_equal(y, y0)
+        assert np.allclose(np.linalg.norm(x, axis=1), np.linalg.norm(x0, axis=1),
                            atol=1e-10)
 
     def test_rotation_moves_the_data(self):
-        ident = gen_task_stream(2, 2, 8, 32, rotation_override={2: np.eye(32)})
+        x0, _ = unrotated_task2_train(2, 8, 32, 250)
         stream = gen_task_stream(2, 2, 8, 32)
-        assert not np.allclose(ident.tasks[1].train[0],
-                               stream.tasks[1].train[0], atol=1e-3)
+        assert not np.allclose(x0, stream.tasks[1].train[0], atol=1e-3)
 
     def test_relabel_permutes_labels_only(self):
         plain = gen_task_stream(3, 2, 8, 32)
         rel = gen_task_stream(3, 2, 8, 32, shift="rotation+relabel")
         assert np.array_equal(plain.tasks[1].train[0], rel.tasks[1].train[0])
-        perm = rel.tasks[1].descriptor["label_permutation"]
-        assert sorted(perm) == list(range(8))
-        assert np.array_equal(np.array(perm)[plain.tasks[1].train[1]],
-                              rel.tasks[1].train[1])
-        assert rel.tasks[0].descriptor["label_permutation"] is None
+        perm = np.random.default_rng([3, SEED_RELABEL, 2]).permutation(8)
+        assert np.array_equal(perm[plain.tasks[1].train[1]], rel.tasks[1].train[1])
+        assert np.array_equal(plain.tasks[0].train[1], rel.tasks[0].train[1])
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=2, max_value=16))
@@ -139,3 +143,6 @@ class TestReorder:
             reorder(stream, [1, 2, 2])
         with pytest.raises(ConfigError):
             reorder(stream, [0, 1, 2])
+        for not_a_permutation in (3, "123", [1.0, 2.0, 3.0], [True, 2, 3], [1, "b", 3]):
+            with pytest.raises(ConfigError):
+                reorder(stream, not_a_permutation)
