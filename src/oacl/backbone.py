@@ -7,12 +7,14 @@ evaluated on every task's test set.
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 from .adapters import OAAdapter, oa_delta
 from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
-from .numerics import Node, Param, Tape
+from .numerics import Node, Param, Tape, zero_grads
 from .optim import Adam
 from .orthogonality import activated_basis
 from .tasks import TaskDataset
@@ -146,8 +148,7 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        for p in backbone.params():
-            p.zero_grad()
+        zero_grads(backbone.params())
         tape = Tape()
         logits = forward(backbone, None, x_train[idx], tape)
         loss = tape.cross_entropy(logits, y_train[idx])
@@ -194,25 +195,29 @@ def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
 def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
     """Rebuild the model through the task lifecycle: begin_task per saved task,
     its saved parameters copied in, end_task for tasks that were frozen. A task
-    saved while open is left open."""
-    with np.load(path, allow_pickle=False) as z:
-        if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not an {CHECKPOINT_MAGIC} checkpoint")
-        d_in, d, L, C = (int(v) for v in z["dims"])
-        backbone = Backbone(d_in, d, L, C, seed=0)
-        for key, p in zip(_backbone_keys(L), backbone.params()):
-            p.value[...] = z[key]
-        backbone.freeze()
-        stack = AdapterStack(L)
-        rng = np.random.default_rng(0)  # initial values are overwritten below
-        for t in range(1, int(z["n_tasks"]) + 1):
-            frozen, mask_enabled = (bool(v) for v in z[f"adapter/p0/t{t}/flags"])
-            begin_task(stack, t, z[f"adapter/p0/t{t}/W1"].shape[0],
-                       float(z[f"adapter/p0/t{t}/tau"][0, 0]), d=d, rng=rng,
-                       mask_enabled=mask_enabled)
-            for point, a in enumerate(stack.trainable_adapters()):
-                for name in ADAPTER_PARAMS:
-                    getattr(a, name).value[...] = z[f"adapter/p{point}/t{t}/{name}"]
-            if frozen:
-                end_task(stack)
+    saved while open is left open. A file that is not a complete checkpoint
+    raises one ValueError naming the path."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
+                raise ValueError("no magic string")
+            d_in, d, L, C = (int(v) for v in z["dims"])
+            backbone = Backbone(d_in, d, L, C, seed=0)
+            for key, p in zip(_backbone_keys(L), backbone.params()):
+                p.value[...] = z[key]
+            backbone.freeze()
+            stack = AdapterStack(L)
+            rng = np.random.default_rng(0)  # initial values are overwritten below
+            for t in range(1, int(z["n_tasks"]) + 1):
+                frozen, mask_enabled = (bool(v) for v in z[f"adapter/p0/t{t}/flags"])
+                begin_task(stack, t, z[f"adapter/p0/t{t}/W1"].shape[0],
+                           float(z[f"adapter/p0/t{t}/tau"][0, 0]), d=d, rng=rng,
+                           mask_enabled=mask_enabled)
+                for point, a in enumerate(stack.trainable_adapters()):
+                    for name in ADAPTER_PARAMS:
+                        getattr(a, name).value[...] = z[f"adapter/p{point}/t{t}/{name}"]
+                if frozen:
+                    end_task(stack)
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path} is not a readable {CHECKPOINT_MAGIC} checkpoint: {e!r}") from e
     return backbone, stack

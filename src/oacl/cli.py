@@ -33,7 +33,8 @@ EXIT_NUMERICAL = 3
 COMPARE_TOKENS = VARIANTS + THRESHOLD_MODES
 # Errors from a config, or from the data and backbone it describes; exit 2.
 INPUT_ERRORS = (ConfigError, DataError, GenerationError, PretrainingError)
-# Accepted YAML value types per declared scalar field type.
+# Accepted YAML value types per declared scalar field type; a YAML boolean
+# is none of them, although Python's bool is an int.
 FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -79,14 +80,15 @@ def _dataclass_from_dict(cls, data: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     for f in dataclasses.fields(cls):
         want = FIELD_TYPES.get(f.type)
-        if f.name in data and want and not isinstance(data[f.name], want):
-            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {data[f.name]!r}")
+        value = data.get(f.name)
+        if f.name in data and want and (isinstance(value, bool) or not isinstance(value, want)):
+            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {value!r}")
     return data
 
 
 def _check_seed(value, where: str) -> int:
     """Seeds are non-negative ints, the values numpy's seeding accepts."""
-    if not isinstance(value, int) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"{where}: expected a non-negative int, got {value!r}")
     return value
 
@@ -118,6 +120,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"compare: unknown keys {sorted(bad_compare)}")
 
     seed = _check_seed(raw.get("seed", 0), "seed")
+    out_dir = raw.get("out_dir", "runs/run")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
     variants = compare.get("variants", [])
     seeds = compare.get("seeds", [])
     if not isinstance(variants, list) or not all(v in COMPARE_TOKENS for v in variants):
@@ -131,7 +136,7 @@ def load_config(path) -> ExperimentConfig:
                           f"got {backbone.layers} and {backbone.d}")
     return ExperimentConfig(
         seed=seed,
-        out_dir=str(raw.get("out_dir", "runs/run")),
+        out_dir=out_dir,
         backbone=backbone,
         stream=stream,
         train=TrainConfig(**{**train_kwargs, "seed": seed}),
@@ -149,6 +154,14 @@ def _config_snapshot(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _make_dir(path: Path):
+    """Create an output directory; a path that cannot be one is an input error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+
+
 def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Generate the data, pretrain, run the task sequence, and persist all
     artifacts. The generators check the data fields of the config, so a bad
@@ -163,7 +176,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if st.order is not None:
         stream = reorder(stream, st.order)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     backbone = build_and_pretrain(
         cfg.seed, bb.d_in, bb.d, bb.layers, bb.classes, base,
         steps=bb.pretrain_steps, lr=bb.pretrain_lr,
@@ -274,7 +287,7 @@ def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> in
             repr(float(np.mean(saved))) if saved else "",
         ])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     with open(out_dir / "compare.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["variant", "n_seeds", "mean_avg_final_accuracy",
@@ -285,10 +298,20 @@ def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> in
 
 
 def _load_summary(run_dir: Path) -> dict:
+    """The figures ``report`` prints, read from the run's summary.json."""
     path = run_dir / "summary.json"
-    if not path.is_file():
-        raise ConfigError(f"missing artifact {path}")
-    return json.loads(path.read_text())
+    try:
+        s = json.loads(path.read_text())
+        return {
+            "avg_final_accuracy": float(s["avg_final_accuracy"]),
+            "forgetting_per_task": [float(v) for v in s["forgetting_per_task"]],
+            "avg_final_budget": float(s["budget"]["avg_final_budget"]),
+            "params_saved_fraction": float(s["budget"]["params_saved_fraction"]),
+            "mean_overlap": float(s["overlap"]["mean_overlap"]),
+            "task_order": s["task_order"],
+        }
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"cannot read run summary {path}: {e!r}") from e
 
 
 def _format_summary(s: dict) -> str:
@@ -296,9 +319,9 @@ def _format_summary(s: dict) -> str:
         f"avg_final_accuracy: {s['avg_final_accuracy']:.4f}",
         "forgetting_per_task: "
         + " ".join(f"{v:.4f}" for v in s["forgetting_per_task"]),
-        f"avg_final_budget: {s['budget']['avg_final_budget']:.3f}",
-        f"params_saved: {100 * s['budget']['params_saved_fraction']:.1f}%",
-        f"mean_overlap: {s['overlap']['mean_overlap']:.4f}",
+        f"avg_final_budget: {s['avg_final_budget']:.3f}",
+        f"params_saved: {100 * s['params_saved_fraction']:.1f}%",
+        f"mean_overlap: {s['mean_overlap']:.4f}",
         f"task_order: {s['task_order']}",
     ]
     return "\n".join(lines)
@@ -306,18 +329,16 @@ def _format_summary(s: dict) -> str:
 
 def cmd_report(run_dir, other_dir=None) -> int:
     s = _load_summary(Path(run_dir))
+    o = _load_summary(Path(other_dir)) if other_dir is not None else None
     print(f"== {run_dir} ==")
     print(_format_summary(s))
-    if other_dir is not None:
-        o = _load_summary(Path(other_dir))
+    if o is not None:
         print(f"\n== {other_dir} ==")
         print(_format_summary(o))
         print("\n== deltas (first - second) ==")
         print(f"avg_final_accuracy: {s['avg_final_accuracy'] - o['avg_final_accuracy']:+.4f}")
-        print(f"avg_final_budget: "
-              f"{s['budget']['avg_final_budget'] - o['budget']['avg_final_budget']:+.3f}")
-        print(f"mean_overlap: "
-              f"{s['overlap']['mean_overlap'] - o['overlap']['mean_overlap']:+.4f}")
+        print(f"avg_final_budget: {s['avg_final_budget'] - o['avg_final_budget']:+.3f}")
+        print(f"mean_overlap: {s['mean_overlap'] - o['mean_overlap']:+.4f}")
     return EXIT_OK
 
 

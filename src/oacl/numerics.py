@@ -284,29 +284,22 @@ class Tape:
     # -- backward ------------------------------------------------------
 
     def backward(self, loss: Node):
-        """Populate grads of all unfrozen Params reachable from ``loss``."""
+        """Add d(loss)/dp into p.grad for every unfrozen Param p reachable
+        from ``loss``; the caller zeroes the grads it wants fresh."""
         if loss.shape != (1, 1):
             raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        nodes: dict[int, Node] = {id(loss): loss}
         for out, inputs, back in reversed(self._records):
             g = grads.pop(id(out), None)
-            nodes.pop(id(out), None)
             if g is None:
                 continue
             for inp, gi in zip(inputs, back(g)):
-                if gi is None:
+                if isinstance(inp, Param):
+                    if not inp.frozen:
+                        inp.grad += gi
                     continue
                 key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
-                    nodes[key] = inp
-        for key, g in grads.items():
-            node = nodes[key]
-            if isinstance(node, Param) and not node.frozen:
-                node.grad += g
+                grads[key] = grads[key] + gi if key in grads else gi
 
 
 # -- gradient checking ------------------------------------------------

@@ -65,8 +65,8 @@ class TrainConfig:
             raise ConfigError(f"lambda_l2 must come from {LAMBDA_L2_GRID}, got {self.lambda_l2}")
         if self.r_max < 1:
             raise ConfigError(f"r_max must be >= 1, got {self.r_max}")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("lr must be positive, batch_size >= 1, epochs >= 0")
+        if not 0 < self.lr < np.inf or self.batch_size < 1 or self.epochs < 0:
+            raise ConfigError("lr must be positive and finite, batch_size >= 1, epochs >= 0")
         if self.variant == "inc_adapter":
             self.lambda_orth = 0.0
 
@@ -82,46 +82,21 @@ class TaskTrainReport:
     steps: int
 
 
-@dataclass
-class LossParts:
-    total: Node
-    task: float
-    orth: float
-    sparsity: float
-
-
 def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack,
-               t: int, config: TrainConfig) -> LossParts:
+               t: int, config: TrainConfig) -> Node:
     """L = mean cross-entropy + lambda_orth * sum_{s<t} pair losses
-    + lambda_l2 * sum_layers ||gamma_t||^2."""
+    + lambda_l2 * sum_layers ||gamma_t||^2, as one scalar node. A term whose
+    weight is zero is not recorded."""
     if t != stack.active_task:
         raise ProtocolError(f"total_loss for task {t} but active task is {stack.active_task}")
-    ce = tape.cross_entropy(logits, labels)
-    node = ce
-    orth_node = orth_loss_total(tape, stack, t)
-    orth_val = float(orth_node.value[0, 0])
+    loss = tape.cross_entropy(logits, labels)
     if config.lambda_orth > 0.0 and t > 1:
-        node = tape.add(node, tape.scale(orth_node, config.lambda_orth))
-    sparsity_val = 0.0
+        loss = tape.add(loss, tape.scale(orth_loss_total(tape, stack, t), config.lambda_orth))
     if config.mask_enabled and config.lambda_l2 > 0.0:
         for adapter in stack.trainable_adapters():
             gamma = tape.soft_threshold(adapter.g, adapter.tau)
-            term = tape.sum_sq(gamma)
-            sparsity_val += float(term.value[0, 0])
-            node = tape.add(node, tape.scale(term, config.lambda_l2))
-    return LossParts(total=node, task=float(ce.value[0, 0]), orth=orth_val,
-                     sparsity=sparsity_val)
-
-
-def _trainable_params(stack: AdapterStack, config: TrainConfig):
-    params = []
-    for adapter in stack.trainable_adapters():
-        params.extend([adapter.W1, adapter.W2])
-        if config.mask_enabled:
-            params.append(adapter.g)
-            if config.threshold_mode == "dynamic":
-                params.append(adapter.tau)
-    return params
+            loss = tape.add(loss, tape.scale(tape.sum_sq(gamma), config.lambda_l2))
+    return loss
 
 
 def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainConfig,
@@ -135,7 +110,10 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
     if n == 0:
         raise DataError(f"task {t} has an empty training split")
 
-    params = _trainable_params(stack, config)
+    if config.threshold_mode == "fixed":
+        for adapter in stack.trainable_adapters():
+            adapter.tau.frozen = True
+    params = [p for a in stack.trainable_adapters() for p in a.params() if not p.frozen]
     opt = make_optimizer(config.optimizer, params, config.lr)
     rng = np.random.default_rng([config.seed, SEED_TASK_SHUFFLE, t])
     step = 0
@@ -146,8 +124,7 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
             zero_grads(params)
             tape = Tape()
             logits = forward(backbone, stack, x_train[idx], tape)
-            parts = total_loss(tape, logits, y_train[idx], stack, t, config)
-            tape.backward(parts.total)
+            tape.backward(total_loss(tape, logits, y_train[idx], stack, t, config))
             opt.step()
             for adapter in stack.trainable_adapters():
                 adapter.clamp_tau()

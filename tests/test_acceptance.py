@@ -122,7 +122,7 @@ def test_01_gradient_correctness(capsys):
             def closure():
                 tape = Tape()
                 logits = forward(bb, stack, x, tape)
-                return tape, total_loss(tape, logits, y, stack, 2, cfg).total
+                return tape, total_loss(tape, logits, y, stack, 2, cfg)
 
             params = [p for a in stack.trainable_adapters()
                       for p in (a.W1, a.W2, a.g, a.tau)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,23 @@ class TestCheckpoint:
         np.savez(p, magic=np.array("OTHER"), x=np.ones(3))
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not_zip", "missing_key"])
+    def test_damaged_file_raises_one_value_error(self, tmp_path, damage):
+        bb, stack = self.make_pair()
+        p = tmp_path / "model.oacl.npz"
+        save_checkpoint(p, bb, stack)
+        data = p.read_bytes()
+        if damage == "truncated":
+            p.write_bytes(data[:len(data) // 2])
+        elif damage == "empty":
+            p.write_bytes(b"")
+        elif damage == "not_zip":
+            p.write_bytes(b"not a checkpoint\n" * 8)
+        else:
+            with np.load(p) as z:
+                arrays = {k: z[k] for k in z.files if k != "adapter/p1/t2/g"}
+            np.savez(p, **arrays)
+        with pytest.raises(ValueError, match=re.escape(str(p))) as info:
+            load_checkpoint(p)
+        assert type(info.value) is ValueError

@@ -1,12 +1,18 @@
+import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oacl.cli import (EXIT_CONFIG, EXIT_OK, load_config, main)
+from oacl.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, BackboneConfig, StreamConfig,
+                      load_config, main)
 from oacl.errors import ConfigError
+from oacl.trainer import TrainConfig
 
 # A deliberately tiny experiment so CLI round trips stay fast.
 SMALL = {
@@ -172,6 +178,17 @@ class TestReportCommand:
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost")]) == EXIT_CONFIG
 
+    def test_report_summary_not_json(self, run_dir, tmp_path):
+        (tmp_path / "summary.json").write_text('{"avg_final_accuracy": 0.5,')
+        assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+        assert main(["report", str(run_dir), str(tmp_path)]) == EXIT_CONFIG
+
+    def test_report_summary_missing_key(self, run_dir, tmp_path):
+        s = json.loads((run_dir / "summary.json").read_text())
+        del s["budget"]["avg_final_budget"]
+        (tmp_path / "summary.json").write_text(json.dumps(s))
+        assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+
 
 class TestExitCodes:
     def test_bad_cli_arguments(self):
@@ -198,10 +215,28 @@ class TestExitCodes:
         {"backbone": {"d": 0}},
         {"compare": None},
         {"compare": {"variants": 5}},
+        {"backbone": {"d": True}},
+        {"backbone": {"pretrain_per_class": True}},
+        {"stream": {"n_train_per_class": True}},
+        {"stream": {"n_val_per_class": True}},
+        {"stream": {"n_test_per_class": True}},
+        {"train": {"r_max": True}},
+        {"seed": True},
+        {"backbone": {"layers": True}},
+        {"stream": {"tasks": True}},
+        {"train": {"lambda_orth": False}},
+        {"train": {"lr": True}},
+        {"train": {"epochs": True}},
+        {"compare": {"seeds": [True]}},
+        {"out_dir": 5},
     ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
             "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
             "seed_float", "compare_seed_float", "seed_negative", "zero_width",
-            "compare_null", "compare_variants_not_list"])
+            "compare_null", "compare_variants_not_list",
+            "width_bool", "pretrain_per_class_bool", "n_train_bool", "n_val_bool",
+            "n_test_bool", "r_max_bool", "seed_bool", "layers_bool", "tasks_bool",
+            "lambda_orth_bool", "lr_bool", "epochs_bool", "compare_seed_bool",
+            "out_dir_not_str"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"
@@ -226,3 +261,48 @@ class TestExitCodes:
         assert main(["compare", "--config", str(p), "--out", str(out),
                      "--variants", "oa_adapter", "fixed", "--seeds", "0", "-1"]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_output_path_is_a_file(self, tmp_path):
+        p = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["run", "--config", str(p), "--out", str(blocker)]) == EXIT_CONFIG
+        assert main(["compare", "--config", str(p), "--out", str(blocker),
+                     "--variants", "oa_adapter", "fixed", "--seeds", "0"]) == EXIT_CONFIG
+        assert blocker.is_file()
+
+
+# A run small enough for hundreds of examples: no pretraining, one task.
+TINY = {
+    "seed": 0,
+    "backbone": {"d_in": 4, "d": 4, "layers": 1, "classes": 2,
+                 "pretrain_per_class": 4, "pretrain_steps": 0},
+    "stream": {"tasks": 1, "n_train_per_class": 4, "n_val_per_class": 1,
+               "n_test_per_class": 2},
+    "train": {"r_max": 2, "epochs": 1, "batch_size": 8},
+    "compare": {"variants": ["oa_adapter", "fixed"], "seeds": [0]},
+}
+FIELDS = ([(None, "seed"), (None, "out_dir"), ("compare", "variants"), ("compare", "seeds")]
+          + [(section, f.name)
+             for section, cls in (("backbone", BackboneConfig), ("stream", StreamConfig),
+                                  ("train", TrainConfig))
+             for f in dataclasses.fields(cls)])
+YAML_VALUES = st.one_of(
+    st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=4), st.none(),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 3), max_size=2))
+
+
+class TestMalformedConfigs:
+    @settings(max_examples=250, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=YAML_VALUES)
+    def test_any_single_field_value_exits_cleanly(self, field, value):
+        """Exit 0, 2 or 3 for any value of any one field; never a traceback."""
+        section, name = field
+        cfg = json.loads(json.dumps(TINY))
+        (cfg if section is None else cfg[section])[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

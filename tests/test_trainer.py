@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from oacl.backbone import AdapterStack, begin_task, build_and_pretrain, forward
+from oacl.adapters import soft_threshold
+from oacl.backbone import (ADAPTER_PARAMS, AdapterStack, begin_task, build_and_pretrain,
+                           end_task, forward)
 from oacl.errors import ConfigError, ProtocolError
 from oacl.metrics import avg_final_accuracy
-from oacl.numerics import Tape
-from oacl.trainer import (TrainConfig, run_sequence, total_loss, train_task,
-                          _trainable_params)
+from oacl.numerics import Node, Tape
+from oacl.orthogonality import orth_loss_pair
+from oacl.trainer import TrainConfig, run_sequence, total_loss, train_task
 from oacl.tasks import gen_base, gen_task_stream
 
 D_IN, D, L, C = 8, 10, 2, 3
@@ -48,6 +50,9 @@ class TestTrainConfig:
             TrainConfig(r_max=0)
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(lr=lr)
 
     def test_inc_variant_forces_no_orth_penalty(self):
         cfg = TrainConfig(variant="inc_adapter", lambda_orth=5.0)
@@ -60,65 +65,91 @@ class TestTrainConfig:
 
 
 class TestTrainableParams:
-    def make_stack(self, cfg):
+    """What a task trains is what is not frozen: train one task briefly and
+    check which of its parameters moved; one that did not move holds no
+    gradient."""
+
+    def train_and_check(self, backbone, stream, cfg, moved):
         stack = AdapterStack(L)
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D,
                    rng=np.random.default_rng(0), mask_enabled=cfg.mask_enabled)
-        return stack
+        adapters = stack.trainable_adapters()
+        before = [{name: getattr(a, name).value.copy() for name in ADAPTER_PARAMS}
+                  for a in adapters]
+        train_task(backbone, stack, stream.tasks[0], cfg)
+        for a, values in zip(adapters, before):
+            for name in ADAPTER_PARAMS:
+                p = getattr(a, name)
+                assert (not np.array_equal(p.value, values[name])) == (name in moved), name
+                if name not in moved:
+                    assert not p.grad.any(), name
 
-    def test_oa_dynamic_includes_gate_and_threshold(self):
-        cfg = small_config(variant="oa_adapter", threshold_mode="dynamic")
-        params = _trainable_params(self.make_stack(cfg), cfg)
-        assert len(params) == L * 4  # W1, W2, g, tau per point
+    def test_oa_dynamic_includes_gate_and_threshold(self, backbone, stream):
+        cfg = small_config(variant="oa_adapter", threshold_mode="dynamic", epochs=1)
+        self.train_and_check(backbone, stream, cfg, ("W1", "W2", "g", "tau"))
 
-    def test_oa_fixed_excludes_threshold(self):
-        cfg = small_config(variant="oa_adapter", threshold_mode="fixed")
-        stack = self.make_stack(cfg)
-        params = _trainable_params(stack, cfg)
-        assert len(params) == L * 3
-        assert not any(p is a.tau for a in stack.trainable_adapters()
-                       for p in params)
+    def test_oa_fixed_excludes_threshold(self, backbone, stream):
+        cfg = small_config(variant="oa_adapter", threshold_mode="fixed", epochs=1)
+        self.train_and_check(backbone, stream, cfg, ("W1", "W2", "g"))
 
-    def test_ablations_train_weights_only(self):
+    def test_ablations_train_weights_only(self, backbone, stream):
         for variant in ("o_adapter", "inc_adapter"):
-            cfg = small_config(variant=variant)
-            assert len(_trainable_params(self.make_stack(cfg), cfg)) == L * 2
+            for mode in ("dynamic", "fixed"):
+                cfg = small_config(variant=variant, threshold_mode=mode, epochs=1)
+                self.train_and_check(backbone, stream, cfg, ("W1", "W2"))
 
 
 class TestTotalLoss:
-    def run_parts(self, backbone, stream, cfg, t_data, stack, t):
+    """total_loss against oracles: a fresh cross-entropy of the same logits,
+    orth_loss_pair over the stack's bases and soft_threshold of each gate."""
+
+    def run_loss(self, backbone, cfg, t_data, stack, t):
         tape = Tape()
         x, y = t_data.train
         logits = forward(backbone, stack, x[:8], tape)
-        return tape, total_loss(tape, logits, y[:8], stack, t, cfg)
+        ce = float(Tape().cross_entropy(Node(logits.value), y[:8]).value[0, 0])
+        return tape, total_loss(tape, logits, y[:8], stack, t, cfg), ce
 
-    def test_decomposition_sums_to_total(self, backbone, stream):
-        cfg = small_config(lambda_orth=1.0, lambda_l2=0.1)
+    def two_task_stack(self, cfg):
         stack = AdapterStack(L)
         rng = np.random.default_rng(1)
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D, rng=rng)
         for a in stack.trainable_adapters():
             a.W2.value[...] = rng.standard_normal((D, cfg.r_max))
-        from oacl.backbone import end_task
         end_task(stack)
         begin_task(stack, 2, cfg.r_max, cfg.tau_init, d=D, rng=rng)
-        tape, parts = self.run_parts(backbone, stream, cfg,
-                                     stream.tasks[1], stack, 2)
-        total = float(parts.total.value[0, 0])
-        assert total == pytest.approx(
-            parts.task + cfg.lambda_orth * parts.orth
-            + cfg.lambda_l2 * parts.sparsity, rel=1e-12)
-        assert parts.orth > 0.0 and parts.sparsity > 0.0
+        return stack
+
+    def test_decomposition_sums_to_total(self, backbone, stream):
+        cfg = small_config(lambda_orth=1.0, lambda_l2=0.1)
+        stack = self.two_task_stack(cfg)
+        _, loss, ce = self.run_loss(backbone, cfg, stream.tasks[1], stack, 2)
+        adapters = stack.trainable_adapters()
+        orth = sum(orth_loss_pair(a.W2.value, basis)
+                   for a, bases in zip(adapters, stack.bases) for basis in bases)
+        sparsity = sum(float((soft_threshold(a.g.value[0], float(a.tau.value[0, 0])) ** 2).sum())
+                       for a in adapters)
+        assert float(loss.value[0, 0]) == pytest.approx(
+            ce + cfg.lambda_orth * orth + cfg.lambda_l2 * sparsity, rel=1e-12)
+        assert orth > 0.0 and sparsity > 0.0
 
     def test_first_task_has_no_orth_term(self, backbone, stream):
         cfg = small_config(lambda_orth=1.0, lambda_l2=0.0)
         stack = AdapterStack(L)
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D,
                    rng=np.random.default_rng(2))
-        _, parts = self.run_parts(backbone, stream, cfg, stream.tasks[0],
-                                  stack, 1)
-        assert parts.orth == 0.0
-        assert float(parts.total.value[0, 0]) == pytest.approx(parts.task)
+        _, loss, ce = self.run_loss(backbone, cfg, stream.tasks[0], stack, 1)
+        assert float(loss.value[0, 0]) == ce
+
+    def test_unweighted_terms_are_not_recorded(self, backbone, stream):
+        cfg = small_config(lambda_orth=0.0, lambda_l2=0.0)
+        stack = self.two_task_stack(cfg)
+        tape = Tape()
+        x, y = stream.tasks[1].train
+        logits = forward(backbone, stack, x[:8], tape)
+        n_forward = len(tape._records)
+        total_loss(tape, logits, y[:8], stack, 2, cfg)
+        assert len(tape._records) == n_forward + 1  # the cross-entropy only
 
     def test_wrong_task_rejected(self, backbone, stream):
         cfg = small_config()
@@ -126,7 +157,7 @@ class TestTotalLoss:
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D,
                    rng=np.random.default_rng(3))
         with pytest.raises(ProtocolError):
-            self.run_parts(backbone, stream, cfg, stream.tasks[0], stack, 2)
+            self.run_loss(backbone, cfg, stream.tasks[0], stack, 2)
 
 
 class TestTrainTask:
