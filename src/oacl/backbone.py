@@ -2,7 +2,8 @@
 
 Inference is task-ID-free: the residual contributions of every task's
 adapters at an insertion point are summed, so the same composed model is
-evaluated on every task's test set.
+evaluated on every task's test set. Serving folds the frozen tasks of each
+insertion point into one matrix and runs without a tape.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .adapters import OAAdapter, oa_delta
 from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
-from .numerics import Node, Param, Tape, zero_grads
+from .numerics import Node, Param, Tape, _finite, as_matrix, matmul, zero_grads
 from .optim import Adam
 from .orthogonality import activated_basis
 from .tasks import TaskDataset
@@ -55,12 +56,15 @@ class AdapterStack:
     """Per-insertion-point ordered lists of adapters across tasks.
 
     Tasks 1..t-1 are frozen (with their activated bases cached at freeze
-    time); at most one trainable task exists at any time.
+    time); at most one trainable task exists at any time. For inference,
+    ``folded[point]`` sums the frozen tasks' residual maps,
+    M = sum_s W2_s diag(gamma_s) W1_s, or is None before the first freeze.
     """
 
     def __init__(self, n_points: int):
         self.points: list[list[OAAdapter]] = [[] for _ in range(n_points)]
         self.bases: list[list] = [[] for _ in range(n_points)]
+        self.folded: list[np.ndarray | None] = [None] * n_points
         self.active_task: int | None = None
 
     @property
@@ -91,8 +95,12 @@ def end_task(stack: AdapterStack) -> AdapterStack:
         raise ProtocolError("end_task without an open task")
     t = stack.active_task
     for point, adapters in enumerate(stack.points):
-        adapters[t - 1].freeze()
-        stack.bases[point].append(activated_basis(adapters[t - 1], t))
+        a = adapters[t - 1]
+        a.freeze()
+        stack.bases[point].append(activated_basis(a, t))
+        term = (a.W2.value * a.gamma()) @ a.W1.value
+        m = stack.folded[point]
+        stack.folded[point] = term if m is None else m + term
     stack.active_task = None
     return stack
 
@@ -116,7 +124,27 @@ def forward(backbone: Backbone, stack: AdapterStack | None, x, tape: Tape | None
 
 
 def predict_logits(backbone: Backbone, stack: AdapterStack | None, x) -> np.ndarray:
-    return forward(backbone, stack, x).value
+    """forward(...).value without a tape: the same ops in the same order, except
+    that each layer adds the frozen tasks' deltas as one pre @ M.T. Bitwise equal
+    to forward when no task is frozen; otherwise only the summation order differs."""
+    x = as_matrix(x)
+    if x.shape[1] != backbone.d_in:
+        raise DimensionError(f"input width {x.shape[1]} does not match d_in={backbone.d_in}")
+    h = np.tanh(matmul(x, backbone.embed.value.T))
+    for point, w in enumerate(backbone.hidden):
+        h = matmul(h, w.value.T)
+        if stack is not None:
+            pre = h
+            if stack.folded[point] is not None:
+                h = _finite(h + matmul(pre, stack.folded[point].T), "add")
+            if stack.active_task is not None:
+                a = stack.points[point][stack.active_task - 1]
+                z = matmul(pre, a.W1.value.T)
+                if a.mask_enabled:
+                    z = _finite(z * a.gamma(), "mul")
+                h = _finite(h + matmul(z, a.W2.value.T), "add")
+        h = np.tanh(h)
+    return matmul(h, backbone.head.value.T)
 
 
 def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,

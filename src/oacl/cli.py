@@ -93,6 +93,14 @@ def _check_seed(value, where: str) -> int:
     return value
 
 
+def _check_seeds(values, where: str) -> list[int]:
+    """A seed list names each seed once; a repeat would rerun it into one cell."""
+    seeds = [_check_seed(v, where) for v in values]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{where}: seed listed twice in {seeds}")
+    return seeds
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         raw = yaml.safe_load(Path(path).read_text())
@@ -130,10 +138,13 @@ def load_config(path) -> ExperimentConfig:
                           f"got {variants!r}")
     if not isinstance(seeds, list):
         raise ConfigError(f"compare.seeds: expected a list, got {seeds!r}")
-    seeds = [_check_seed(s, "compare.seeds") for s in seeds]
+    seeds = _check_seeds(seeds, "compare.seeds")
     if backbone.layers < 1 or backbone.d < 1:
         raise ConfigError("backbone.layers and backbone.d must be >= 1, "
                           f"got {backbone.layers} and {backbone.d}")
+    if not 0 < backbone.pretrain_lr < np.inf:
+        raise ConfigError("backbone.pretrain_lr must be positive and finite, "
+                          f"got {backbone.pretrain_lr}")
     return ExperimentConfig(
         seed=seed,
         out_dir=out_dir,
@@ -258,7 +269,7 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
 def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> int:
     cfg = load_config(config_path)
     variants = list(variants) if variants else cfg.compare_variants
-    seeds = ([_check_seed(s, "--seeds") for s in seeds] if seeds
+    seeds = (_check_seeds(seeds, "--seeds") if seeds
              else (cfg.compare_seeds or [cfg.seed]))
     if len(variants) < 2:
         raise ConfigError("compare needs at least two variants")

@@ -139,18 +139,32 @@ class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Not shareable across threads. Each op returns a fresh Node; backward
-    rules close over the forward values they need.
+    rules close over the forward values they need. An op is recorded only
+    when one of its inputs needs a gradient, i.e. has an unfrozen Param
+    upstream; every op runs its forward checks either way.
     """
 
     def __init__(self):
         self._records: list[tuple[Node, tuple[Node, ...], Callable]] = []
+        # ids of recorded outputs; the records keep those nodes alive.
+        self._recorded: set[int] = set()
         # Active/inactive pattern of every soft_threshold executed on this
         # tape, in execution order; used by check_gradients to detect kink
         # crossings between finite-difference evaluations.
         self.mask_patterns: list[np.ndarray] = []
 
-    def _push(self, out: Node, inputs: tuple[Node, ...], backward_fn: Callable) -> Node:
+    def _needs_grad(self, node: Node) -> bool:
+        return id(node) in self._recorded or (isinstance(node, Param) and not node.frozen)
+
+    def _record(self, out: Node, inputs: tuple[Node, ...], backward_fn: Callable) -> Node:
         self._records.append((out, inputs, backward_fn))
+        self._recorded.add(id(out))
+        return out
+
+    def _push(self, out: Node, inputs: tuple[Node, ...], backward_fn: Callable) -> Node:
+        for i in inputs:
+            if self._needs_grad(i):
+                return self._record(out, inputs, backward_fn)
         return out
 
     # -- op vocabulary -------------------------------------------------
@@ -161,11 +175,12 @@ class Tape:
     def matmul(self, a: Node, b: Node) -> Node:
         out = Node(matmul(a.value, b.value))
         av, bv = a.value, b.value
+        need_a, need_b = self._needs_grad(a), self._needs_grad(b)
 
         def back(g):
-            return g @ bv.T, av.T @ g
+            return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
 
-        return self._push(out, (a, b), back)
+        return self._record(out, (a, b), back) if need_a or need_b else out
 
     def transpose(self, a: Node) -> Node:
         out = Node(a.value.T)
@@ -294,6 +309,8 @@ class Tape:
             if g is None:
                 continue
             for inp, gi in zip(inputs, back(g)):
+                if gi is None:
+                    continue
                 if isinstance(inp, Param):
                     if not inp.frozen:
                         inp.grad += gi

@@ -7,9 +7,11 @@ from oacl.adapters import OAAdapter
 from oacl.backbone import (AdapterStack, Backbone, begin_task,
                            build_and_pretrain, end_task, forward,
                            load_checkpoint, predict_logits, save_checkpoint)
-from oacl.errors import ConfigError, DimensionError, PretrainingError, ProtocolError
-from oacl.numerics import Tape, zero_grads
+from oacl.errors import (ConfigError, DimensionError, NumericalError, PretrainingError,
+                         ProtocolError)
+from oacl.numerics import Param, Tape, check_gradients, zero_grads
 from oacl.tasks import gen_base
+from oacl.trainer import TrainConfig, total_loss
 
 D_IN, D, L, C = 6, 8, 2, 3
 
@@ -79,6 +81,8 @@ class TestForward:
     def test_wrong_input_width(self):
         with pytest.raises(DimensionError):
             forward(small_backbone(), None, np.ones((2, D_IN + 1)))
+        with pytest.raises(DimensionError):
+            predict_logits(small_backbone(), None, np.ones((2, D_IN + 1)))
 
     def test_frozen_backbone_blocks_gradients(self):
         bb = small_backbone()
@@ -94,6 +98,114 @@ class TestForward:
             assert np.array_equal(p.grad, np.zeros_like(p.grad))
         assert any(np.abs(a.W1.grad).max() > 0
                    for a in stack.trainable_adapters())
+
+
+def trained_stack(backbone, n_frozen, open_task=True, seed=8):
+    """n_frozen frozen tasks, then optionally one open task, all with random
+    up-projections and gates of mixed sign around tau = 1e-3."""
+    stack = AdapterStack(backbone.L)
+    rng = np.random.default_rng(seed)
+    for t in range(1, n_frozen + 1 + int(open_task)):
+        begin_task(stack, t, 4, 1e-3, d=backbone.d, rng=rng)
+        for a in stack.trainable_adapters():
+            a.W2.value[...] = rng.standard_normal((backbone.d, 4))
+            a.g.value[...] = rng.uniform(-1, 1, size=(1, 4))
+        if t <= n_frozen:
+            end_task(stack)
+    return stack
+
+
+class TestTapePruning:
+    def test_frozen_backbone_without_stack_records_nothing(self):
+        bb = small_backbone()
+        bb.freeze()
+        tape = Tape()
+        forward(bb, None, np.ones((3, D_IN)), tape)
+        assert tape._records == []
+
+    @pytest.mark.parametrize("n_frozen", [0, 2])
+    def test_records_only_what_the_open_task_reaches(self, n_frozen):
+        bb = small_backbone()
+        bb.freeze()
+        stack = trained_stack(bb, n_frozen)
+        tape = Tape()
+        forward(bb, stack, np.ones((3, D_IN)), tape)
+        # Per layer, the open task records its 6 adapter ops, its add and the
+        # tanh; each layer after the first adds its hidden matmul and, per
+        # frozen task, the matmuls, mul and add fed by the open task's output.
+        assert len(tape._records) == 9 * L + 4 * n_frozen * (L - 1)
+        trainable = {id(p) for a in stack.trainable_adapters() for p in a.params()}
+        seen = set()
+        for out, inputs, _ in tape._records:
+            assert any(id(i) in trainable or id(i) in seen for i in inputs)
+            seen.add(id(out))
+
+    def test_matmul_backward_forms_only_the_needed_side(self):
+        tape = Tape()
+        frozen = Param(np.ones((2, 3)), frozen=True)
+        open_ = Param(np.ones((3, 4)))
+        tape.matmul(frozen, open_)
+        (_, _, back), = tape._records
+        da, db = back(np.ones((2, 4)))
+        assert da is None and db.shape == (3, 4)
+
+    def test_gradients_with_frozen_tasks_match_finite_differences(self):
+        bb = small_backbone()
+        bb.freeze()
+        stack = trained_stack(bb, n_frozen=2)
+        for a in stack.trainable_adapters():  # gates at least 1e-2 from tau
+            a.tau.value[...] = 0.3
+            a.g.value[...] = np.where(np.abs(a.g.value) < 0.3, 0.15, 0.6) * np.sign(a.g.value)
+        cfg = TrainConfig(r_max=4, lambda_orth=1.0, lambda_l2=0.1)
+        rng = np.random.default_rng(10)
+        x, y = rng.standard_normal((6, D_IN)), rng.integers(0, C, size=6)
+
+        def closure():
+            tape = Tape()
+            return tape, total_loss(tape, forward(bb, stack, x, tape), y, stack, 3, cfg)
+
+        params = [p for a in stack.trainable_adapters() for p in a.params()]
+        res = check_gradients(closure, params, eps=1e-5, rng=np.random.default_rng(11))
+        assert res.kink_skips == 0
+        assert res.max_rel_error < 1e-4
+
+
+class TestTapeFreePredict:
+    def test_equals_forward_bitwise_without_frozen_tasks(self):
+        bb = small_backbone()
+        bb.freeze()
+        x = np.random.default_rng(12).standard_normal((7, D_IN))
+        for stack in (None, trained_stack(bb, n_frozen=0)):
+            assert np.array_equal(predict_logits(bb, stack, x), forward(bb, stack, x).value)
+
+    @pytest.mark.parametrize("open_task", [False, True])
+    def test_folded_frozen_tasks_match_forward(self, open_task):
+        bb = small_backbone()
+        bb.freeze()
+        stack = trained_stack(bb, n_frozen=3, open_task=open_task)
+        x = np.random.default_rng(13).standard_normal((50, D_IN))
+        got, want = predict_logits(bb, stack, x), forward(bb, stack, x).value
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    def test_fold_sums_the_frozen_residual_maps(self):
+        bb = small_backbone()
+        assert trained_stack(bb, n_frozen=0).folded == [None] * L
+        stack = trained_stack(bb, n_frozen=2, open_task=False)
+        for point, adapters in enumerate(stack.points):
+            want = sum(a.W2.value @ np.diag(a.gamma()) @ a.W1.value for a in adapters)
+            assert np.allclose(stack.folded[point], want, rtol=0, atol=1e-14)
+
+    def test_overflow_raises_numerical_error(self):
+        bb = small_backbone()
+        bb.embed.value[...] = 1.0
+        stack = trained_stack(bb, n_frozen=1)
+        x = np.full((2, D_IN), 1e308)  # each embedding sums D_IN of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                forward(bb, stack, x)
+            with pytest.raises(NumericalError):
+                predict_logits(bb, stack, x)
 
 
 class TestTaskLifecycle:
@@ -210,6 +322,7 @@ class TestCheckpoint:
             for i in range(2):
                 assert np.array_equal(stack.bases[point][i].W2_tilde,
                                       stack2.bases[point][i].W2_tilde)
+            assert stack.folded[point].tobytes() == stack2.folded[point].tobytes()
 
     def test_open_task_survives_round_trip(self, tmp_path):
         bb = small_backbone(seed=7)

@@ -229,6 +229,11 @@ class TestExitCodes:
         {"train": {"epochs": True}},
         {"compare": {"seeds": [True]}},
         {"out_dir": 5},
+        {"compare": {"seeds": [0, 0]}},
+        {"backbone": {"pretrain_lr": float("nan")}},
+        {"backbone": {"pretrain_lr": float("inf")}},
+        {"backbone": {"pretrain_lr": 0.0}},
+        {"backbone": {"pretrain_lr": -0.003}},
     ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
             "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
             "seed_float", "compare_seed_float", "seed_negative", "zero_width",
@@ -236,7 +241,8 @@ class TestExitCodes:
             "width_bool", "pretrain_per_class_bool", "n_train_bool", "n_val_bool",
             "n_test_bool", "r_max_bool", "seed_bool", "layers_bool", "tasks_bool",
             "lambda_orth_bool", "lr_bool", "epochs_bool", "compare_seed_bool",
-            "out_dir_not_str"])
+            "out_dir_not_str", "compare_seed_repeated", "pretrain_lr_nan",
+            "pretrain_lr_inf", "pretrain_lr_zero", "pretrain_lr_negative"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"
@@ -260,6 +266,13 @@ class TestExitCodes:
                      "--seed", "-1"]) == EXIT_CONFIG
         assert main(["compare", "--config", str(p), "--out", str(out),
                      "--variants", "oa_adapter", "fixed", "--seeds", "0", "-1"]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_repeated_seed_argument_rejected(self, tmp_path):
+        p = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(p), "--out", str(out),
+                     "--variants", "oa_adapter", "fixed", "--seeds", "0", "0"]) == EXIT_CONFIG
         assert not out.exists()
 
     def test_output_path_is_a_file(self, tmp_path):
