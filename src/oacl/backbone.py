@@ -226,7 +226,7 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
     saved while open is left open. A file that is not a complete checkpoint
     raises one ValueError naming the path."""
     try:
-        with np.load(path, allow_pickle=False) as z:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
             if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
                 raise ValueError("no magic string")
             d_in, d, L, C = (int(v) for v in z["dims"])

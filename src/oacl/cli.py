@@ -93,12 +93,15 @@ def _check_seed(value, where: str) -> int:
     return value
 
 
+def _check_unique(values: list, where: str) -> list:
+    """A compare axis names each value once; a repeat would rerun it into one cell."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{where}: a value is listed twice in {values}")
+    return values
+
+
 def _check_seeds(values, where: str) -> list[int]:
-    """A seed list names each seed once; a repeat would rerun it into one cell."""
-    seeds = [_check_seed(v, where) for v in values]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{where}: seed listed twice in {seeds}")
-    return seeds
+    return _check_unique([_check_seed(v, where) for v in values], where)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -120,6 +123,8 @@ def load_config(path) -> ExperimentConfig:
     stream = StreamConfig(**_dataclass_from_dict(
         StreamConfig, raw.get("stream", {}), "stream"))
     train_kwargs = _dataclass_from_dict(TrainConfig, raw.get("train", {}), "train")
+    if "seed" in train_kwargs:
+        raise ConfigError("train.seed: the top-level seed is the only seed")
     compare = raw.get("compare", {})
     if not isinstance(compare, dict):
         raise ConfigError("compare: expected a mapping")
@@ -136,6 +141,7 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(variants, list) or not all(v in COMPARE_TOKENS for v in variants):
         raise ConfigError(f"compare.variants: expected a list drawn from {COMPARE_TOKENS}, "
                           f"got {variants!r}")
+    _check_unique(variants, "compare.variants")
     if not isinstance(seeds, list):
         raise ConfigError(f"compare.seeds: expected a list, got {seeds!r}")
     seeds = _check_seeds(seeds, "compare.seeds")
@@ -211,14 +217,11 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
         for step, task_id, acc in result.curves:
             w.writerow([step, task_id, repr(float(acc))])
 
+    budget = budget_report(result.stack)
     with open(out_dir / "dims.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["task", "layer", "r_eff"])
-        for rep in result.reports:
-            for layer, r in enumerate(rep.r_eff_per_layer):
-                w.writerow([rep.task_id, layer, r])
-
-    budget = budget_report(result.stack)
+        w.writerows([t, layer, r] for (t, layer), r in sorted(budget.r_eff.items()))
     overlap = stack_overlap_summary(result.stack)
     summary = {
         "avg_final_accuracy": avg_final_accuracy(result.matrix),
@@ -268,7 +271,7 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
 
 def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> int:
     cfg = load_config(config_path)
-    variants = list(variants) if variants else cfg.compare_variants
+    variants = _check_unique(list(variants), "--variants") if variants else cfg.compare_variants
     seeds = (_check_seeds(seeds, "--seeds") if seeds
              else (cfg.compare_seeds or [cfg.seed]))
     if len(variants) < 2:

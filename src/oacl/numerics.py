@@ -1,8 +1,10 @@
 """Dense float64 matrix kernels and a tape-based reverse-mode gradient engine.
 
 Everything is a 2-d row-major float64 array. The tape is rebuilt per forward
-pass (define-by-run); backward walks the records in reverse execution order
-exactly once and accumulates gradients additively at fan-out.
+pass (define-by-run). Each op hands the tape one edge per input, and the tape
+keeps only the edges whose input needs a gradient; backward walks the records
+in reverse execution order exactly once and accumulates gradients additively
+at fan-out.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError
+from .errors import ContractError, DataError, DimensionError, NumericalError
 
 
 def as_matrix(x) -> np.ndarray:
@@ -46,10 +48,14 @@ def _gate(g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.where(active, sign * (np.abs(g) - tau), 0.0), active, sign
 
 
-def _gate_backward(active: np.ndarray, sign: np.ndarray, upstream: np.ndarray):
-    """(dg, dtau): gamma is a shift of g on active dims, so dgamma/dg = 1
-    there and 0 elsewhere; dgamma/dtau = -sign(g) over the same dims."""
-    return np.where(active, upstream, 0.0), -(upstream * sign)[active].sum()
+def _gate_dg(active: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """gamma is a shift of g on active dims: dgamma/dg = 1 there, 0 elsewhere."""
+    return np.where(active, upstream, 0.0)
+
+
+def _gate_dtau(active: np.ndarray, sign: np.ndarray, upstream: np.ndarray) -> float:
+    """dgamma/dtau = -sign(g) over the active dims."""
+    return -(upstream * sign)[active].sum()
 
 
 def _check_threshold(tau: float) -> float:
@@ -70,8 +76,7 @@ def soft_threshold_backward(g, tau: float, upstream) -> tuple[np.ndarray, float]
     if g.shape != upstream.shape:
         raise DimensionError(f"upstream shape {upstream.shape} does not match g {g.shape}")
     _, active, sign = _gate(g, _check_threshold(tau))
-    dg, dtau = _gate_backward(active, sign, upstream)
-    return dg, float(dtau)
+    return _gate_dg(active, upstream), float(_gate_dtau(active, sign, upstream))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,14 +143,16 @@ def _broadcastable(a, b) -> bool:
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
-    Not shareable across threads. Each op returns a fresh Node; backward
-    rules close over the forward values they need. An op is recorded only
-    when one of its inputs needs a gradient, i.e. has an unfrozen Param
-    upstream; every op runs its forward checks either way.
+    Not shareable across threads. Each op returns a fresh Node and hands
+    ``_push`` one edge ``(input, vjp)`` per input, where ``vjp(g)`` maps the
+    output's gradient to that input's. An edge is kept only when its input
+    needs a gradient: an unfrozen Param, or the output of a recorded op. An
+    op is recorded only when one of its edges is kept, so no gradient is
+    formed that nothing reads. Every op runs its forward checks either way.
     """
 
     def __init__(self):
-        self._records: list[tuple[Node, tuple[Node, ...], Callable]] = []
+        self._records: list[tuple[Node, list[tuple[Node, Callable]]]] = []
         # ids of recorded outputs; the records keep those nodes alive.
         self._recorded: set[int] = set()
         # Active/inactive pattern of every soft_threshold executed on this
@@ -153,18 +160,16 @@ class Tape:
         # crossings between finite-difference evaluations.
         self.mask_patterns: list[np.ndarray] = []
 
-    def _needs_grad(self, node: Node) -> bool:
-        return id(node) in self._recorded or (isinstance(node, Param) and not node.frozen)
-
-    def _record(self, out: Node, inputs: tuple[Node, ...], backward_fn: Callable) -> Node:
-        self._records.append((out, inputs, backward_fn))
-        self._recorded.add(id(out))
-        return out
-
-    def _push(self, out: Node, inputs: tuple[Node, ...], backward_fn: Callable) -> Node:
-        for i in inputs:
-            if self._needs_grad(i):
-                return self._record(out, inputs, backward_fn)
+    def _push(self, out: Node, edges: tuple[tuple[Node, Callable], ...]) -> Node:
+        recorded = self._recorded
+        kept = []
+        for edge in edges:
+            i = edge[0]
+            if id(i) in recorded or (isinstance(i, Param) and not i.frozen):
+                kept.append(edge)
+        if kept:
+            self._records.append((out, kept))
+            recorded.add(id(out))
         return out
 
     # -- op vocabulary -------------------------------------------------
@@ -173,22 +178,12 @@ class Tape:
         return Node(value)
 
     def matmul(self, a: Node, b: Node) -> Node:
-        out = Node(matmul(a.value, b.value))
         av, bv = a.value, b.value
-        need_a, need_b = self._needs_grad(a), self._needs_grad(b)
-
-        def back(g):
-            return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
-
-        return self._record(out, (a, b), back) if need_a or need_b else out
+        out = Node(matmul(av, bv))
+        return self._push(out, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
 
     def transpose(self, a: Node) -> Node:
-        out = Node(a.value.T)
-
-        def back(g):
-            return (g.T,)
-
-        return self._push(out, (a,), back)
+        return self._push(Node(a.value.T), ((a, lambda g: g.T),))
 
     def _elementwise(self, a: Node, b: Node, op, name: str) -> Node:
         if not _broadcastable(a.value, b.value):
@@ -198,84 +193,51 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         out = self._elementwise(a, b, np.add, "add")
         sa, sb = a.shape, b.shape
-
-        def back(g):
-            return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-        return self._push(out, (a, b), back)
+        return self._push(out, ((a, lambda g: _unbroadcast(g, sa)),
+                                (b, lambda g: _unbroadcast(g, sb))))
 
     def sub(self, a: Node, b: Node) -> Node:
         out = self._elementwise(a, b, np.subtract, "sub")
         sa, sb = a.shape, b.shape
-
-        def back(g):
-            return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-        return self._push(out, (a, b), back)
+        return self._push(out, ((a, lambda g: _unbroadcast(g, sa)),
+                                (b, lambda g: _unbroadcast(-g, sb))))
 
     def mul(self, a: Node, b: Node) -> Node:
         out = self._elementwise(a, b, np.multiply, "mul")
         av, bv = a.value, b.value
-
-        def back(g):
-            return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-        return self._push(out, (a, b), back)
+        return self._push(out, ((a, lambda g: _unbroadcast(g * bv, av.shape)),
+                                (b, lambda g: _unbroadcast(g * av, bv.shape))))
 
     def scale(self, a: Node, c: float) -> Node:
         out = Node(_finite(a.value * c, "scale"))
-
-        def back(g):
-            return (g * c,)
-
-        return self._push(out, (a,), back)
+        return self._push(out, ((a, lambda g: g * c),))
 
     def tanh(self, a: Node) -> Node:
         v = np.tanh(a.value)
-        out = Node(v)
-
-        def back(g):
-            return (g * (1.0 - v * v),)
-
-        return self._push(out, (a,), back)
+        return self._push(Node(v), ((a, lambda g: g * (1.0 - v * v)),))
 
     def sum(self, a: Node) -> Node:
-        out = Node([[a.value.sum()]])
         shape = a.shape
-
-        def back(g):
-            return (np.full(shape, g[0, 0]),)
-
-        return self._push(out, (a,), back)
+        return self._push(Node([[a.value.sum()]]), ((a, lambda g: np.full(shape, g[0, 0])),))
 
     def sum_sq(self, a: Node) -> Node:
         """Squared Frobenius norm, as a scalar node."""
-        out = Node([[float((a.value * a.value).sum())]])
         av = a.value
-
-        def back(g):
-            return (2.0 * g[0, 0] * av,)
-
-        return self._push(out, (a,), back)
+        out = Node([[float((av * av).sum())]])
+        return self._push(out, ((a, lambda g: 2.0 * g[0, 0] * av),))
 
     def soft_threshold(self, g: Node, tau: Node) -> Node:
         """Gate gamma = soft(g; tau) for a scalar threshold node (see _gate)."""
         if tau.shape != (1, 1):
             raise DimensionError(f"threshold must be scalar, got shape {tau.shape}")
         gamma, active, sign = _gate(g.value, _check_threshold(float(tau.value[0, 0])))
-        out = Node(gamma)
         self.mask_patterns.append(active)
-
-        def back(up):
-            dg, dtau = _gate_backward(active, sign, up)
-            return dg, np.array([[dtau]])
-
-        return self._push(out, (g, tau), back)
+        return self._push(Node(gamma), (
+            (g, lambda up: _gate_dg(active, up)),
+            (tau, lambda up: np.array([[_gate_dtau(active, sign, up)]]))))
 
     def cross_entropy(self, logits: Node, labels: np.ndarray) -> Node:
         """Mean softmax cross-entropy over a batch; labels are class indices."""
-        from .errors import DataError
-
         n, c = logits.shape
         labels = np.asarray(labels)
         if labels.shape != (n,):
@@ -286,15 +248,14 @@ class Tape:
         zmax = z.max(axis=1, keepdims=True)
         lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
         nll = lse[:, 0] - z[np.arange(n), labels]
-        out = Node([[nll.mean()]])
         softmax = np.exp(z - lse)
 
-        def back(g):
+        def vjp(g):
             d = softmax.copy()
             d[np.arange(n), labels] -= 1.0
-            return (g[0, 0] / n * d,)
+            return g[0, 0] / n * d
 
-        return self._push(out, (logits,), back)
+        return self._push(Node([[nll.mean()]]), ((logits, vjp),))
 
     # -- backward ------------------------------------------------------
 
@@ -304,16 +265,14 @@ class Tape:
         if loss.shape != (1, 1):
             raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        for out, inputs, back in reversed(self._records):
+        for out, edges in reversed(self._records):
             g = grads.pop(id(out), None)
             if g is None:
                 continue
-            for inp, gi in zip(inputs, back(g)):
-                if gi is None:
-                    continue
+            for inp, vjp in edges:
+                gi = vjp(g)
                 if isinstance(inp, Param):
-                    if not inp.frozen:
-                        inp.grad += gi
+                    inp.grad += gi
                     continue
                 key = id(inp)
                 grads[key] = grads[key] + gi if key in grads else gi

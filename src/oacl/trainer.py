@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import snapshot_mask
 from .backbone import AdapterStack, Backbone, begin_task, end_task, forward, predict_logits
 from .errors import ConfigError, DataError, ProtocolError
 from .metrics import AccuracyMatrix, accuracy
@@ -78,7 +77,6 @@ class TrainConfig:
 @dataclass
 class TaskTrainReport:
     task_id: int
-    r_eff_per_layer: list[int]
     steps: int
 
 
@@ -132,9 +130,8 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
             if eval_hook is not None and step % EVAL_INTERVAL == 0:
                 eval_hook(step_offset + step)
 
-    r_eff = [snapshot_mask(a).r_eff for a in stack.trainable_adapters()]
     end_task(stack)
-    return TaskTrainReport(task_id=t, r_eff_per_layer=r_eff, steps=step)
+    return TaskTrainReport(task_id=t, steps=step)
 
 
 @dataclass

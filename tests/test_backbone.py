@@ -136,8 +136,9 @@ class TestTapePruning:
         assert len(tape._records) == 9 * L + 4 * n_frozen * (L - 1)
         trainable = {id(p) for a in stack.trainable_adapters() for p in a.params()}
         seen = set()
-        for out, inputs, _ in tape._records:
-            assert any(id(i) in trainable or id(i) in seen for i in inputs)
+        for out, edges in tape._records:
+            assert edges
+            assert all(id(i) in trainable or id(i) in seen for i, _ in edges)
             seen.add(id(out))
 
     def test_matmul_backward_forms_only_the_needed_side(self):
@@ -145,9 +146,27 @@ class TestTapePruning:
         frozen = Param(np.ones((2, 3)), frozen=True)
         open_ = Param(np.ones((3, 4)))
         tape.matmul(frozen, open_)
-        (_, _, back), = tape._records
-        da, db = back(np.ones((2, 4)))
-        assert da is None and db.shape == (3, 4)
+        (_, edges), = tape._records
+        (inp, vjp), = edges
+        assert inp is open_ and vjp(np.ones((2, 4))).shape == (3, 4)
+
+    def test_mul_by_a_frozen_gate_keeps_only_the_open_side(self):
+        tape = Tape()
+        z = tape.tanh(Param(np.ones((2, 3))))
+        gamma = Param(np.ones((1, 3)), frozen=True)
+        tape.mul(z, gamma)
+        (_, edges), = tape._records[1:]
+        assert [i for i, _ in edges] == [z]
+
+    def test_soft_threshold_with_a_frozen_tau_keeps_only_g(self):
+        tape = Tape()
+        g = Param([[0.5, -0.1, 0.3]])
+        tau = Param([[0.2]], frozen=True)
+        tape.soft_threshold(g, tau)
+        (_, edges), = tape._records
+        (inp, vjp), = edges
+        assert inp is g
+        assert np.array_equal(vjp(np.ones((1, 3))), [[1.0, 0.0, 1.0]])
 
     def test_gradients_with_frozen_tasks_match_finite_differences(self):
         bb = small_backbone()

@@ -234,6 +234,8 @@ class TestExitCodes:
         {"backbone": {"pretrain_lr": float("inf")}},
         {"backbone": {"pretrain_lr": 0.0}},
         {"backbone": {"pretrain_lr": -0.003}},
+        {"compare": {"variants": ["oa_adapter", "oa_adapter"]}},
+        {"train": {"seed": 7}},
     ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
             "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
             "seed_float", "compare_seed_float", "seed_negative", "zero_width",
@@ -242,7 +244,8 @@ class TestExitCodes:
             "n_test_bool", "r_max_bool", "seed_bool", "layers_bool", "tasks_bool",
             "lambda_orth_bool", "lr_bool", "epochs_bool", "compare_seed_bool",
             "out_dir_not_str", "compare_seed_repeated", "pretrain_lr_nan",
-            "pretrain_lr_inf", "pretrain_lr_zero", "pretrain_lr_negative"])
+            "pretrain_lr_inf", "pretrain_lr_zero", "pretrain_lr_negative",
+            "compare_variant_repeated", "train_seed"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"
@@ -273,6 +276,13 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["compare", "--config", str(p), "--out", str(out),
                      "--variants", "oa_adapter", "fixed", "--seeds", "0", "0"]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_repeated_variant_argument_rejected(self, tmp_path):
+        p = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(p), "--out", str(out),
+                     "--variants", "o_adapter", "o_adapter", "--seeds", "0"]) == EXIT_CONFIG
         assert not out.exists()
 
     def test_output_path_is_a_file(self, tmp_path):

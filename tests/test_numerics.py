@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacl.errors import ContractError, DimensionError, NumericalError
+from oacl.errors import ContractError, DataError, DimensionError, NumericalError
 from oacl.numerics import (Node, Param, Tape, check_gradients, matmul,
                            zero_grads)
 
@@ -154,7 +154,6 @@ class TestOps:
         assert loss.value[0, 0] == pytest.approx(np.log(8.0), abs=1e-12)
 
     def test_cross_entropy_label_out_of_range(self):
-        from oacl.errors import DataError
         t = Tape()
         with pytest.raises(DataError):
             t.cross_entropy(Node(np.zeros((2, 3))), np.array([0, 3]))
