@@ -2,7 +2,7 @@
 parameter-subspace constraints, at desk scale on a frozen synthetic backbone."""
 
 from .adapters import (MaskSnapshot, OAAdapter, oa_forward, outer_product_form,
-                       snapshot_mask, soft_threshold, soft_threshold_backward)
+                       snapshot_mask, soft_threshold)
 from .backbone import (AdapterStack, Backbone, begin_task, build_and_pretrain,
                        end_task, forward, load_checkpoint, predict_logits,
                        save_checkpoint)
@@ -15,7 +15,6 @@ from .orthogonality import (ActivatedBasis, activated_basis, orth_loss_pair,
                             stack_overlap_summary)
 from .tasks import (TaskDataset, TaskStream, gen_base, gen_task_stream,
                     random_orthogonal, reorder)
-from .trainer import (RunResult, TaskTrainReport, TrainConfig, run_sequence,
-                      total_loss, train_task)
+from .trainer import RunResult, TrainConfig, run_sequence, total_loss, train_task
 
 __all__ = [name for name in dir() if not name.startswith("_")]

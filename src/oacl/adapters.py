@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .numerics import Node, Param, Tape, as_matrix, soft_threshold
-from .numerics import soft_threshold_backward  # noqa: F401  (re-exported)
 
 
 @dataclass

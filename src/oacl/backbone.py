@@ -220,6 +220,14 @@ def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
         np.savez(f, **arrays)
 
 
+def _restore(param: Param, saved: np.ndarray):
+    """Copy a saved array into a parameter; numpy would broadcast a smaller
+    array into it silently, so the shapes must match."""
+    if saved.shape != param.value.shape:
+        raise ValueError(f"saved shape {saved.shape} does not fit {param.value.shape}")
+    param.value[...] = saved
+
+
 def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
     """Rebuild the model through the task lifecycle: begin_task per saved task,
     its saved parameters copied in, end_task for tasks that were frozen. A task
@@ -232,7 +240,7 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
             d_in, d, L, C = (int(v) for v in z["dims"])
             backbone = Backbone(d_in, d, L, C, seed=0)
             for key, p in zip(_backbone_keys(L), backbone.params()):
-                p.value[...] = z[key]
+                _restore(p, z[key])
             backbone.freeze()
             stack = AdapterStack(L)
             rng = np.random.default_rng(0)  # initial values are overwritten below
@@ -243,9 +251,9 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
                            mask_enabled=mask_enabled)
                 for point, a in enumerate(stack.trainable_adapters()):
                     for name in ADAPTER_PARAMS:
-                        getattr(a, name).value[...] = z[f"adapter/p{point}/t{t}/{name}"]
+                        _restore(getattr(a, name), z[f"adapter/p{point}/t{t}/{name}"])
                 if frozen:
                     end_task(stack)
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as e:
+    except (EOFError, KeyError, ProtocolError, ValueError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a readable {CHECKPOINT_MAGIC} checkpoint: {e!r}") from e
     return backbone, stack

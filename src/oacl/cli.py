@@ -122,9 +122,7 @@ def load_config(path) -> ExperimentConfig:
         BackboneConfig, raw.get("backbone", {}), "backbone"))
     stream = StreamConfig(**_dataclass_from_dict(
         StreamConfig, raw.get("stream", {}), "stream"))
-    train_kwargs = _dataclass_from_dict(TrainConfig, raw.get("train", {}), "train")
-    if "seed" in train_kwargs:
-        raise ConfigError("train.seed: the top-level seed is the only seed")
+    train = TrainConfig(**_dataclass_from_dict(TrainConfig, raw.get("train", {}), "train"))
     compare = raw.get("compare", {})
     if not isinstance(compare, dict):
         raise ConfigError("compare: expected a mapping")
@@ -156,7 +154,7 @@ def load_config(path) -> ExperimentConfig:
         out_dir=out_dir,
         backbone=backbone,
         stream=stream,
-        train=TrainConfig(**{**train_kwargs, "seed": seed}),
+        train=train,
         compare_variants=variants,
         compare_seeds=seeds,
     )
@@ -198,7 +196,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
         cfg.seed, bb.d_in, bb.d, bb.layers, bb.classes, base,
         steps=bb.pretrain_steps, lr=bb.pretrain_lr,
         batch_size=bb.pretrain_batch_size)
-    result = run_sequence(backbone, stream, cfg.train)
+    result = run_sequence(backbone, stream, cfg.train, cfg.seed)
     wall = time.perf_counter() - started
 
     (out_dir / "config_snapshot.yaml").write_text(
@@ -247,23 +245,18 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _variant_config(cfg: ExperimentConfig, token: str, seed: int) -> ExperimentConfig:
-    train = dataclasses.asdict(cfg.train)
     if token in THRESHOLD_MODES:
-        train["variant"] = "oa_adapter"
-        train["threshold_mode"] = token
+        train = dataclasses.replace(cfg.train, variant="oa_adapter", threshold_mode=token)
     else:
-        train["variant"] = token
-    train["seed"] = seed
-    return dataclasses.replace(cfg, seed=seed, train=TrainConfig(**train))
+        train = dataclasses.replace(cfg.train, variant=token)
+    return dataclasses.replace(cfg, seed=seed, train=train)
 
 
 def cmd_run(config_path, out_override=None, seed_override=None) -> int:
     cfg = load_config(config_path)
     if seed_override is not None:
         _check_seed(seed_override, "--seed")
-        cfg = dataclasses.replace(
-            cfg, seed=seed_override,
-            train=dataclasses.replace(cfg.train, seed=seed_override))
+        cfg = dataclasses.replace(cfg, seed=seed_override)
     out_dir = Path(out_override) if out_override else Path(cfg.out_dir)
     execute_run(cfg, out_dir)
     return EXIT_OK

@@ -69,16 +69,6 @@ def soft_threshold(g, tau: float) -> np.ndarray:
     return _gate(np.asarray(g, dtype=np.float64), _check_threshold(tau))[0]
 
 
-def soft_threshold_backward(g, tau: float, upstream) -> tuple[np.ndarray, float]:
-    """Gradients (dg, dtau) of soft(g; tau) given the upstream gradient."""
-    g = np.asarray(g, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if g.shape != upstream.shape:
-        raise DimensionError(f"upstream shape {upstream.shape} does not match g {g.shape}")
-    _, active, sign = _gate(g, _check_threshold(tau))
-    return _gate_dg(active, upstream), float(_gate_dtau(active, sign, upstream))
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain matrix product with an explicit shape check."""
     a = as_matrix(a)

@@ -45,7 +45,6 @@ class TrainConfig:
     lr: float = 3e-3
     batch_size: int = 32
     epochs: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -66,30 +65,27 @@ class TrainConfig:
             raise ConfigError(f"r_max must be >= 1, got {self.r_max}")
         if not 0 < self.lr < np.inf or self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("lr must be positive and finite, batch_size >= 1, epochs >= 0")
-        if self.variant == "inc_adapter":
-            self.lambda_orth = 0.0
 
     @property
     def mask_enabled(self) -> bool:
         return self.variant == "oa_adapter"
 
-
-@dataclass
-class TaskTrainReport:
-    task_id: int
-    steps: int
+    @property
+    def orth_weight(self) -> float:
+        """The orthogonality penalty's weight: inc_adapter ignores lambda_orth."""
+        return 0.0 if self.variant == "inc_adapter" else self.lambda_orth
 
 
 def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack,
                t: int, config: TrainConfig) -> Node:
-    """L = mean cross-entropy + lambda_orth * sum_{s<t} pair losses
+    """L = mean cross-entropy + orth_weight * sum_{s<t} pair losses
     + lambda_l2 * sum_layers ||gamma_t||^2, as one scalar node. A term whose
     weight is zero is not recorded."""
     if t != stack.active_task:
         raise ProtocolError(f"total_loss for task {t} but active task is {stack.active_task}")
     loss = tape.cross_entropy(logits, labels)
-    if config.lambda_orth > 0.0 and t > 1:
-        loss = tape.add(loss, tape.scale(orth_loss_total(tape, stack, t), config.lambda_orth))
+    if config.orth_weight > 0.0 and t > 1:
+        loss = tape.add(loss, tape.scale(orth_loss_total(tape, stack, t), config.orth_weight))
     if config.mask_enabled and config.lambda_l2 > 0.0:
         for adapter in stack.trainable_adapters():
             gamma = tape.soft_threshold(adapter.g, adapter.tau)
@@ -98,8 +94,9 @@ def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack
 
 
 def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainConfig,
-               eval_hook=None, step_offset: int = 0) -> TaskTrainReport:
-    """Optimize the open task's adapters on its data, then freeze the task."""
+               seed: int, eval_hook=None, step_offset: int = 0) -> int:
+    """Optimize the open task's adapters on its data, then freeze the task.
+    Returns the number of optimizer steps taken."""
     t = stack.active_task
     if t is None:
         raise ProtocolError("train_task requires an open task (call begin_task first)")
@@ -113,7 +110,7 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
             adapter.tau.frozen = True
     params = [p for a in stack.trainable_adapters() for p in a.params() if not p.frozen]
     opt = make_optimizer(config.optimizer, params, config.lr)
-    rng = np.random.default_rng([config.seed, SEED_TASK_SHUFFLE, t])
+    rng = np.random.default_rng([seed, SEED_TASK_SHUFFLE, t])
     step = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -131,18 +128,18 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
                 eval_hook(step_offset + step)
 
     end_task(stack)
-    return TaskTrainReport(task_id=t, steps=step)
+    return step
 
 
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
-    reports: list[TaskTrainReport]
     curves: list[tuple[int, int, float]]  # (step, task_id, test accuracy)
     stack: AdapterStack = field(repr=False)
 
 
-def run_sequence(backbone: Backbone, stream: TaskStream, config: TrainConfig) -> RunResult:
+def run_sequence(backbone: Backbone, stream: TaskStream, config: TrainConfig,
+                 seed: int) -> RunResult:
     """Sequential protocol: for each task, train on that task's data only,
     then evaluate the composed model on every task's test set."""
     if not stream.tasks:
@@ -151,7 +148,6 @@ def run_sequence(backbone: Backbone, stream: TaskStream, config: TrainConfig) ->
     stack = AdapterStack(len(backbone.hidden))
     grid = np.full((T, T), np.nan)
     curves: list[tuple[int, int, float]] = []
-    reports = []
 
     def test_accuracies() -> list[float]:
         # predict_logits is called here, not inside a public function, so that
@@ -165,13 +161,10 @@ def run_sequence(backbone: Backbone, stream: TaskStream, config: TrainConfig) ->
 
     step_offset = 0
     for pos, task in enumerate(stream.tasks, start=1):
-        rng = np.random.default_rng([config.seed, SEED_ADAPTER_INIT, pos])
+        rng = np.random.default_rng([seed, SEED_ADAPTER_INIT, pos])
         begin_task(stack, pos, config.r_max, config.tau_init,
                    d=backbone.d, rng=rng, mask_enabled=config.mask_enabled)
-        report = train_task(backbone, stack, task, config,
-                            eval_hook=evaluate_all, step_offset=step_offset)
-        step_offset += report.steps
-        reports.append(report)
+        step_offset += train_task(backbone, stack, task, config, seed,
+                                  eval_hook=evaluate_all, step_offset=step_offset)
         grid[:, pos - 1] = test_accuracies()
-    return RunResult(matrix=AccuracyMatrix(T=T, a=grid), reports=reports,
-                     curves=curves, stack=stack)
+    return RunResult(matrix=AccuracyMatrix(T=T, a=grid), curves=curves, stack=stack)

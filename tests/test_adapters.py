@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oacl.adapters import (OAAdapter, oa_forward, outer_product_form,
-                           snapshot_mask, soft_threshold, soft_threshold_backward)
+                           snapshot_mask, soft_threshold)
 from oacl.errors import ContractError, DimensionError
-from oacl.numerics import Tape, zero_grads
+from oacl.numerics import Node, Param, Tape, zero_grads
 
 
 def make_adapter(d=6, r_max=4, tau=0.2, seed=0, **kw):
@@ -33,26 +33,30 @@ class TestSoftThreshold:
 
 
 class TestSoftThresholdBackward:
+    @staticmethod
+    def gate_grads(g, tau, upstream):
+        """(g.grad, tau.grad) of sum(upstream * soft(g; tau)), through the tape."""
+        g, tau = Param([g]), Param([[tau]])
+        t = Tape()
+        t.backward(t.sum(t.mul(t.soft_threshold(g, tau), Node([upstream]))))
+        return g.grad[0], tau.grad[0, 0]
+
     def test_positive_active(self):
-        dg, dtau = soft_threshold_backward([0.5], 0.2, [2.0])
+        dg, dtau = self.gate_grads([0.5], 0.2, [2.0])
         assert dg[0] == 2.0 and dtau == -2.0
 
     def test_deactivated_blocks_gradient(self):
-        dg, dtau = soft_threshold_backward([0.1], 0.2, [5.0])
+        dg, dtau = self.gate_grads([0.1], 0.2, [5.0])
         assert dg[0] == 0.0 and dtau == 0.0
 
     def test_negative_active(self):
         # gamma(g) = g + tau for active negative g: slope 1 in g, +1 in tau
-        dg, dtau = soft_threshold_backward([-0.5], 0.2, [1.0])
+        dg, dtau = self.gate_grads([-0.5], 0.2, [1.0])
         assert dg[0] == 1.0 and dtau == 1.0
 
     def test_kink_counts_as_inactive(self):
-        dg, dtau = soft_threshold_backward([0.2], 0.2, [1.0])
+        dg, dtau = self.gate_grads([0.2], 0.2, [1.0])
         assert dg[0] == 0.0 and dtau == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            soft_threshold_backward([0.5, 0.5], 0.2, [1.0])
 
 
 class TestOAForward:
@@ -144,10 +148,6 @@ class TestMaskSemantics:
         t.backward(t.sum_sq(oa_forward(t, ad, x)))
         assert ad.g.grad[0, 1] == 0.0
         assert ad.g.grad[0, 0] != 0.0 and ad.g.grad[0, 2] != 0.0
-        # tau contribution decomposes over active dims only
-        dg, dtau_full = soft_threshold_backward(
-            ad.g.value, float(ad.tau.value[0, 0]), np.ones((1, 3)))
-        assert dg[0, 1] == 0.0
 
     def test_reactivation_two_step_scenario(self):
         ad = make_adapter(d=4, r_max=2, tau=0.6, seed=2)

@@ -372,7 +372,8 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "not_zip", "missing_key"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not_zip", "missing_key",
+                                        "short_hidden", "short_W1", "open_before_later"])
     def test_damaged_file_raises_one_value_error(self, tmp_path, damage):
         bb, stack = self.make_pair()
         p = tmp_path / "model.oacl.npz"
@@ -386,7 +387,14 @@ class TestCheckpoint:
             p.write_bytes(b"not a checkpoint\n" * 8)
         else:
             with np.load(p) as z:
-                arrays = {k: z[k] for k in z.files if k != "adapter/p1/t2/g"}
+                arrays = {k: z[k] for k in z.files}
+            if damage == "missing_key":
+                del arrays["adapter/p1/t2/g"]
+            elif damage == "open_before_later":
+                arrays["adapter/p0/t1/flags"] = np.array([0, 1])  # task 1 open, task 2 next
+            else:  # one row where several are expected: numpy would broadcast it
+                key = {"short_hidden": "backbone/hidden0", "short_W1": "adapter/p1/t1/W1"}[damage]
+                arrays[key] = arrays[key][:1]
             np.savez(p, **arrays)
         with pytest.raises(ValueError, match=re.escape(str(p))) as info:
             load_checkpoint(p)

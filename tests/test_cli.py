@@ -9,8 +9,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacl.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, BackboneConfig, StreamConfig,
-                      load_config, main)
+from oacl import cli
+from oacl.cli import (COMPARE_TOKENS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, BackboneConfig,
+                      StreamConfig, load_config, main)
 from oacl.errors import ConfigError
 from oacl.trainer import TrainConfig
 
@@ -36,6 +37,15 @@ def write_config(tmp_path, extra=None, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def assert_same_artifacts(a: Path, b: Path):
+    """Two run directories hold the same files, byte for byte, but timing.txt."""
+    names = sorted(f.name for f in a.iterdir())
+    assert names == sorted(f.name for f in b.iterdir())
+    for name in names:
+        if name != "timing.txt":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestLoadConfig:
@@ -72,9 +82,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
-    def test_seed_propagates_to_training(self, tmp_path):
-        p = write_config(tmp_path, {"seed": 42})
-        assert load_config(p).train.seed == 42
+    def test_seed_propagates_to_training(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        seeds = []
+
+        def record(backbone, stream, config, seed):
+            seeds.append(seed)
+            raise Reached
+
+        monkeypatch.setattr(cli, "run_sequence", record)
+        cfg = load_config(write_config(tmp_path, {"seed": 42}))
+        with pytest.raises(Reached):
+            cli.execute_run(cfg, tmp_path / "o")
+        assert seeds == [42]
+
+    @pytest.mark.parametrize("token", [None, *COMPARE_TOKENS])
+    def test_snapshot_loads_as_the_config_it_came_from(self, tmp_path, token):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "default.yaml")
+        if token is not None:
+            cfg = cli._variant_config(cfg, token, seed=1)
+        p = tmp_path / "config_snapshot.yaml"
+        p.write_text(yaml.safe_dump(cli._config_snapshot(cfg), sort_keys=True))
+        loaded = load_config(p)
+        assert ((loaded.seed, loaded.backbone, loaded.stream, loaded.train)
+                == (cfg.seed, cfg.backbone, cfg.stream, cfg.train))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +165,12 @@ class TestRunCommand:
         s1 = json.loads((run_dir / "summary.json").read_text())
         assert s1 != s2
 
+    def test_snapshot_reruns_the_run(self, run_dir, tmp_path):
+        out = tmp_path / "rerun"
+        assert main(["run", "--config", str(run_dir / "config_snapshot.yaml"),
+                     "--out", str(out)]) == EXIT_OK
+        assert_same_artifacts(run_dir, out)
+
 
 class TestCompareCommand:
     def test_compare_grid_and_csv(self, tmp_path):
@@ -146,6 +185,19 @@ class TestCompareCommand:
         assert len(rows) == 3
         assert (out / "oa_adapter" / "seed0" / "summary.json").is_file()
         assert (out / "inc_adapter" / "seed0" / "summary.json").is_file()
+
+    def test_cell_does_not_depend_on_the_config_variant(self, tmp_path):
+        """An oa_adapter cell trains with the config's lambda_orth, whatever
+        variant the config itself names."""
+        cells = []
+        for variant in ("inc_adapter", "oa_adapter"):
+            cfg = write_config(tmp_path, {"train": {"variant": variant, "lambda_orth": 1.0}},
+                               name=f"{variant}.yaml")
+            out = tmp_path / variant
+            assert main(["compare", "--config", str(cfg), "--out", str(out),
+                         "--variants", "oa_adapter", "fixed", "--seeds", "0"]) == EXIT_OK
+            cells.append(out / "oa_adapter" / "seed0")
+        assert_same_artifacts(*cells)
 
     def test_single_variant_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -32,6 +32,18 @@ def small_config(**kw):
     return TrainConfig(**kw)
 
 
+def two_task_stack(cfg):
+    """Task 1 frozen with random up-projections, task 2 open."""
+    stack = AdapterStack(L)
+    rng = np.random.default_rng(1)
+    begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D, rng=rng, mask_enabled=cfg.mask_enabled)
+    for a in stack.trainable_adapters():
+        a.W2.value[...] = rng.standard_normal((D, cfg.r_max))
+    end_task(stack)
+    begin_task(stack, 2, cfg.r_max, cfg.tau_init, d=D, rng=rng, mask_enabled=cfg.mask_enabled)
+    return stack
+
+
 class TestTrainConfig:
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
@@ -54,9 +66,17 @@ class TestTrainConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(lr=lr)
 
-    def test_inc_variant_forces_no_orth_penalty(self):
-        cfg = TrainConfig(variant="inc_adapter", lambda_orth=5.0)
-        assert cfg.lambda_orth == 0.0
+    def test_inc_variant_forces_no_orth_penalty(self, backbone, stream):
+        cfg = small_config(variant="inc_adapter", lambda_orth=5.0)
+        stack = two_task_stack(cfg)
+        tape = Tape()
+        x, y = stream.tasks[1].train
+        logits = forward(backbone, stack, x[:8], tape)
+        n_forward = len(tape._records)
+        loss = total_loss(tape, logits, y[:8], stack, 2, cfg)
+        assert len(tape._records) == n_forward + 1  # the cross-entropy only
+        assert float(loss.value[0, 0]) == float(
+            Tape().cross_entropy(Node(logits.value), y[:8]).value[0, 0])
 
     def test_mask_enabled_only_for_oa(self):
         assert TrainConfig(variant="oa_adapter").mask_enabled
@@ -76,7 +96,7 @@ class TestTrainableParams:
         adapters = stack.trainable_adapters()
         before = [{name: getattr(a, name).value.copy() for name in ADAPTER_PARAMS}
                   for a in adapters]
-        train_task(backbone, stack, stream.tasks[0], cfg)
+        train_task(backbone, stack, stream.tasks[0], cfg, 0)
         for a, values in zip(adapters, before):
             for name in ADAPTER_PARAMS:
                 p = getattr(a, name)
@@ -110,19 +130,9 @@ class TestTotalLoss:
         ce = float(Tape().cross_entropy(Node(logits.value), y[:8]).value[0, 0])
         return tape, total_loss(tape, logits, y[:8], stack, t, cfg), ce
 
-    def two_task_stack(self, cfg):
-        stack = AdapterStack(L)
-        rng = np.random.default_rng(1)
-        begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D, rng=rng)
-        for a in stack.trainable_adapters():
-            a.W2.value[...] = rng.standard_normal((D, cfg.r_max))
-        end_task(stack)
-        begin_task(stack, 2, cfg.r_max, cfg.tau_init, d=D, rng=rng)
-        return stack
-
     def test_decomposition_sums_to_total(self, backbone, stream):
         cfg = small_config(lambda_orth=1.0, lambda_l2=0.1)
-        stack = self.two_task_stack(cfg)
+        stack = two_task_stack(cfg)
         _, loss, ce = self.run_loss(backbone, cfg, stream.tasks[1], stack, 2)
         adapters = stack.trainable_adapters()
         orth = sum(orth_loss_pair(a.W2.value, basis)
@@ -143,7 +153,7 @@ class TestTotalLoss:
 
     def test_unweighted_terms_are_not_recorded(self, backbone, stream):
         cfg = small_config(lambda_orth=0.0, lambda_l2=0.0)
-        stack = self.two_task_stack(cfg)
+        stack = two_task_stack(cfg)
         tape = Tape()
         x, y = stream.tasks[1].train
         logits = forward(backbone, stack, x[:8], tape)
@@ -164,7 +174,7 @@ class TestTrainTask:
     def test_requires_open_task(self, backbone, stream):
         with pytest.raises(ProtocolError):
             train_task(backbone, AdapterStack(L), stream.tasks[0],
-                       small_config())
+                       small_config(), 0)
 
     def test_training_reduces_loss_and_freezes(self, backbone, stream):
         cfg = small_config(epochs=3)
@@ -179,18 +189,18 @@ class TestTrainTask:
                 forward(backbone, stack, x, tape), y).value[0, 0])
 
         before = task_loss()
-        report = train_task(backbone, stack, stream.tasks[0], cfg)
+        steps = train_task(backbone, stack, stream.tasks[0], cfg, 0)
         assert task_loss() < before
         assert stack.active_task is None
         assert all(a.frozen for point in stack.points for a in point)
-        assert report.steps == cfg.epochs * int(np.ceil(len(y) / cfg.batch_size))
+        assert steps == cfg.epochs * int(np.ceil(len(y) / cfg.batch_size))
 
     def test_dynamic_threshold_stays_positive(self, backbone, stream):
         cfg = small_config(threshold_mode="dynamic", lambda_l2=0.5)
         stack = AdapterStack(L)
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D,
                    rng=np.random.default_rng(5), mask_enabled=True)
-        train_task(backbone, stack, stream.tasks[0], cfg)
+        train_task(backbone, stack, stream.tasks[0], cfg, 0)
         for point in stack.points:
             assert point[0].tau.value[0, 0] >= 1e-8
 
@@ -199,7 +209,7 @@ class TestTrainTask:
         stack = AdapterStack(L)
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D,
                    rng=np.random.default_rng(6), mask_enabled=True)
-        train_task(backbone, stack, stream.tasks[0], cfg)
+        train_task(backbone, stack, stream.tasks[0], cfg, 0)
         for point in stack.points:
             assert point[0].tau.value[0, 0] == cfg.tau_init
 
@@ -209,11 +219,11 @@ class TestTrainTask:
         rng = np.random.default_rng(7)
         begin_task(stack, 1, cfg.r_max, cfg.tau_init, d=D, rng=rng,
                    mask_enabled=True)
-        train_task(backbone, stack, stream.tasks[0], cfg)
+        train_task(backbone, stack, stream.tasks[0], cfg, 0)
         before = [a.state_bytes() for point in stack.points for a in point]
         begin_task(stack, 2, cfg.r_max, cfg.tau_init, d=D, rng=rng,
                    mask_enabled=True)
-        train_task(backbone, stack, stream.tasks[1], cfg)
+        train_task(backbone, stack, stream.tasks[1], cfg, 0)
         after = [a.state_bytes() for point in stack.points
                  for a in point[:1]]
         assert before == after
@@ -222,17 +232,16 @@ class TestTrainTask:
 class TestRunSequence:
     def test_full_protocol_shape_and_determinism(self, backbone, stream):
         cfg = small_config(epochs=1)
-        res1 = run_sequence(backbone, stream, cfg)
-        res2 = run_sequence(backbone, stream, cfg)
+        res1 = run_sequence(backbone, stream, cfg, 0)
+        res2 = run_sequence(backbone, stream, cfg, 0)
         assert res1.matrix.a.shape == (2, 2)
         assert not np.isnan(res1.matrix.a).any()  # full grid is evaluated
         assert np.array_equal(res1.matrix.a, res2.matrix.a)
         assert res1.curves == res2.curves
-        assert len(res1.reports) == 2
 
     def test_curves_cover_all_tasks_at_interval(self, backbone, stream):
         cfg = small_config(epochs=2)
-        res = run_sequence(backbone, stream, cfg)
+        res = run_sequence(backbone, stream, cfg, 0)
         steps = sorted({s for s, _, _ in res.curves})
         assert all(s % 25 == 0 for s in steps)
         for s in steps:
@@ -240,6 +249,6 @@ class TestRunSequence:
 
     def test_learns_first_task_above_chance(self, backbone, stream):
         cfg = small_config(epochs=3)
-        res = run_sequence(backbone, stream, cfg)
+        res = run_sequence(backbone, stream, cfg, 0)
         assert res.matrix.a[0, 0] > 1.5 / C
         assert 0.0 <= avg_final_accuracy(res.matrix) <= 1.0
