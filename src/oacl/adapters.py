@@ -28,6 +28,8 @@ class OAAdapter:
     Bias-free down/up projections plus a gate vector ``g`` and a shared
     strictly-positive scalar threshold ``tau``. With ``mask_enabled=False``
     the gate path is bypassed (gamma identically 1) and g/tau stay frozen.
+    ``freeze`` caches gamma as a constant node, ``frozen_gamma``, which the
+    frozen task's forward pass, fold and activated basis read.
     """
 
     def __init__(self, d: int, r_max: int, tau_init: float, rng: np.random.Generator,
@@ -42,6 +44,7 @@ class OAAdapter:
         self.g = Param(np.ones((1, r_max)))
         self.tau = Param([[tau_init]])
         self.mask_enabled = mask_enabled
+        self.frozen_gamma: Node | None = None
         if not mask_enabled:
             self.g.frozen = True
             self.tau.frozen = True
@@ -56,6 +59,7 @@ class OAAdapter:
     def freeze(self):
         for p in self.params():
             p.frozen = True
+        self.frozen_gamma = Node(self.gamma())
 
     def gamma(self) -> np.ndarray:
         """Current mask values as a flat (r_max,) vector."""
@@ -74,11 +78,13 @@ class OAAdapter:
 
 def oa_delta(tape: Tape, adapter: OAAdapter, x: Node) -> Node:
     """Residual contribution W2 . diag(gamma) . W1 . x for a batch x (n, d)."""
-    z = tape.matmul(x, tape.transpose(adapter.W1))
+    z = tape.linear(x, adapter.W1)
     if adapter.mask_enabled:
-        gamma = tape.soft_threshold(adapter.g, adapter.tau)
+        gamma = adapter.frozen_gamma
+        if gamma is None:
+            gamma = tape.soft_threshold(adapter.g, adapter.tau)
         z = tape.mul(z, gamma)
-    return tape.matmul(z, tape.transpose(adapter.W2))
+    return tape.linear(z, adapter.W2)
 
 
 def oa_forward(tape: Tape, adapter: OAAdapter, x) -> Node:

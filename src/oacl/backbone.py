@@ -15,7 +15,7 @@ import numpy as np
 from .adapters import OAAdapter, oa_delta
 from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
-from .numerics import Node, Param, Tape, _finite, as_matrix, matmul, zero_grads
+from .numerics import Node, Param, Tape, _finite, as_matrix, matmul
 from .optim import Adam
 from .orthogonality import activated_basis
 from .tasks import TaskDataset
@@ -98,7 +98,7 @@ def end_task(stack: AdapterStack) -> AdapterStack:
         a = adapters[t - 1]
         a.freeze()
         stack.bases[point].append(activated_basis(a, t))
-        term = (a.W2.value * a.gamma()) @ a.W1.value
+        term = (a.W2.value * a.frozen_gamma.value) @ a.W1.value
         m = stack.folded[point]
         stack.folded[point] = term if m is None else m + term
     stack.active_task = None
@@ -111,16 +111,16 @@ def forward(backbone: Backbone, stack: AdapterStack | None, x, tape: Tape | None
     x = x if isinstance(x, Node) else Node(x)
     if x.shape[1] != backbone.d_in:
         raise DimensionError(f"input width {x.shape[1]} does not match d_in={backbone.d_in}")
-    h = tape.tanh(tape.matmul(x, tape.transpose(backbone.embed)))
+    h = tape.tanh(tape.linear(x, backbone.embed))
     for layer_idx, w in enumerate(backbone.hidden):
-        h = tape.matmul(h, tape.transpose(w))
+        h = tape.linear(h, w)
         if stack is not None:
             # All tasks' residuals are computed from the same pre-sum h.
             pre = h
             for adapter in stack.points[layer_idx]:
                 h = tape.add(h, oa_delta(tape, adapter, pre))
         h = tape.tanh(h)
-    return tape.matmul(h, tape.transpose(backbone.head))
+    return tape.linear(h, backbone.head)
 
 
 def predict_logits(backbone: Backbone, stack: AdapterStack | None, x) -> np.ndarray:
@@ -176,7 +176,7 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        zero_grads(backbone.params())
+        opt.zero_grad()
         tape = Tape()
         logits = forward(backbone, None, x_train[idx], tape)
         loss = tape.cross_entropy(logits, y_train[idx])
@@ -254,6 +254,7 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
                         _restore(getattr(a, name), z[f"adapter/p{point}/t{t}/{name}"])
                 if frozen:
                     end_task(stack)
-    except (EOFError, KeyError, ProtocolError, ValueError, zipfile.BadZipFile) as e:
+    except (EOFError, IndexError, KeyError, ProtocolError, TypeError, ValueError,
+            zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a readable {CHECKPOINT_MAGIC} checkpoint: {e!r}") from e
     return backbone, stack

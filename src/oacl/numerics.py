@@ -4,7 +4,9 @@ Everything is a 2-d row-major float64 array. The tape is rebuilt per forward
 pass (define-by-run). Each op hands the tape one edge per input, and the tape
 keeps only the edges whose input needs a gradient; backward walks the records
 in reverse execution order exactly once and accumulates gradients additively
-at fan-out.
+at fan-out. A layer's weight matmul ``x @ w.T`` is one record (``linear``).
+Ops wrap their own 2-d float64 outputs as they are; only values from outside
+the tape go through ``as_matrix``.
 """
 
 from __future__ import annotations
@@ -69,13 +71,16 @@ def soft_threshold(g, tau: float) -> np.ndarray:
     return _gate(np.asarray(g, dtype=np.float64), _check_threshold(tau))[0]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul of two arrays that are already 2-d float64."""
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return _finite(a @ b, "matmul")
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Plain matrix product with an explicit shape check."""
+    return _matmul(as_matrix(a), as_matrix(b))
 
 
 class Node:
@@ -89,6 +94,13 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
+
+
+def _node(value: np.ndarray) -> Node:
+    """A Node around an op's own 2-d float64 output, without as_matrix."""
+    n = Node.__new__(Node)
+    n.value = value
+    return n
 
 
 class Param(Node):
@@ -169,16 +181,22 @@ class Tape:
 
     def matmul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
-        out = Node(matmul(av, bv))
+        out = _node(_matmul(av, bv))
         return self._push(out, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
 
+    def linear(self, x: Node, w: Node) -> Node:
+        """x @ w.T as one record: the bits of matmul(x, transpose(w))."""
+        xv, wv = x.value, w.value
+        out = _node(_matmul(xv, wv.T))
+        return self._push(out, ((x, lambda g: g @ wv), (w, lambda g: (xv.T @ g).T)))
+
     def transpose(self, a: Node) -> Node:
-        return self._push(Node(a.value.T), ((a, lambda g: g.T),))
+        return self._push(_node(a.value.T), ((a, lambda g: g.T),))
 
     def _elementwise(self, a: Node, b: Node, op, name: str) -> Node:
         if not _broadcastable(a.value, b.value):
             raise DimensionError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-        return Node(_finite(op(a.value, b.value), name))
+        return _node(_finite(op(a.value, b.value), name))
 
     def add(self, a: Node, b: Node) -> Node:
         out = self._elementwise(a, b, np.add, "add")
@@ -199,12 +217,12 @@ class Tape:
                                 (b, lambda g: _unbroadcast(g * av, bv.shape))))
 
     def scale(self, a: Node, c: float) -> Node:
-        out = Node(_finite(a.value * c, "scale"))
+        out = _node(_finite(a.value * c, "scale"))
         return self._push(out, ((a, lambda g: g * c),))
 
     def tanh(self, a: Node) -> Node:
         v = np.tanh(a.value)
-        return self._push(Node(v), ((a, lambda g: g * (1.0 - v * v)),))
+        return self._push(_node(v), ((a, lambda g: g * (1.0 - v * v)),))
 
     def sum(self, a: Node) -> Node:
         shape = a.shape
@@ -222,7 +240,7 @@ class Tape:
             raise DimensionError(f"threshold must be scalar, got shape {tau.shape}")
         gamma, active, sign = _gate(g.value, _check_threshold(float(tau.value[0, 0])))
         self.mask_patterns.append(active)
-        return self._push(Node(gamma), (
+        return self._push(_node(gamma), (
             (g, lambda up: _gate_dg(active, up)),
             (tau, lambda up: np.array([[_gate_dtau(active, sign, up)]]))))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import OAAdapter, snapshot_mask
+from .adapters import OAAdapter
 from .errors import DimensionError, ProtocolError
 from .numerics import Node, Tape
 
@@ -21,11 +21,11 @@ class ActivatedBasis:
 
 
 def activated_basis(adapter: OAAdapter, task_id: int) -> ActivatedBasis:
-    if not adapter.frozen:
+    if adapter.frozen_gamma is None:
         raise ProtocolError("activated basis may only be extracted from a frozen adapter")
-    snap = snapshot_mask(adapter)
-    active = snap.active_indices
-    w2t = adapter.W2.value[:, active] * snap.gamma[active]
+    gamma = adapter.frozen_gamma.value[0]
+    active = np.flatnonzero(gamma != 0.0)
+    w2t = adapter.W2.value[:, active] * gamma[active]
     return ActivatedBasis(task_id=task_id, W2_tilde=w2t)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import AdapterStack, Backbone, begin_task, end_task, forward, predict_logits
 from .errors import ConfigError, DataError, ProtocolError
 from .metrics import AccuracyMatrix, accuracy
-from .numerics import Node, Tape, zero_grads
+from .numerics import Node, Tape
 from .optim import make_optimizer
 from .orthogonality import orth_loss_total
 from .tasks import TaskStream
@@ -116,7 +116,7 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            zero_grads(params)
+            opt.zero_grad()
             tape = Tape()
             logits = forward(backbone, stack, x_train[idx], tape)
             tape.backward(total_loss(tape, logits, y_train[idx], stack, t, config))

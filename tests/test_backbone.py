@@ -130,10 +130,11 @@ class TestTapePruning:
         stack = trained_stack(bb, n_frozen)
         tape = Tape()
         forward(bb, stack, np.ones((3, D_IN)), tape)
-        # Per layer, the open task records its 6 adapter ops, its add and the
-        # tanh; each layer after the first adds its hidden matmul and, per
-        # frozen task, the matmuls, mul and add fed by the open task's output.
-        assert len(tape._records) == 9 * L + 4 * n_frozen * (L - 1)
+        # Per layer, the open task records its 4 adapter ops (two linears, the
+        # gate and its mul), its add and the tanh; each layer after the first
+        # adds its hidden linear and, per frozen task, the linears, mul and add
+        # fed by the open task's output; the head adds one linear.
+        assert len(tape._records) == 7 * L + 4 * n_frozen * (L - 1)
         trainable = {id(p) for a in stack.trainable_adapters() for p in a.params()}
         seen = set()
         for out, edges in tape._records:
@@ -187,6 +188,37 @@ class TestTapePruning:
         res = check_gradients(closure, params, eps=1e-5, rng=np.random.default_rng(11))
         assert res.kink_skips == 0
         assert res.max_rel_error < 1e-4
+
+
+class TestFrozenGate:
+    def test_cached_gamma_equals_gamma_after_end_task_and_load(self, tmp_path):
+        bb = small_backbone()
+        bb.freeze()
+        stack = trained_stack(bb, n_frozen=2)
+        for a in stack.trainable_adapters():
+            assert a.frozen_gamma is None
+            a.g.value[0, :2] = [-5e-4, 5e-4]  # inside tau: inactive, one of each sign
+        end_task(stack)
+        path = tmp_path / "model.oacl.npz"
+        save_checkpoint(path, bb, stack)
+        _, loaded = load_checkpoint(path)
+        for s in (stack, loaded):
+            for adapters in s.points:
+                for a in adapters:
+                    assert a.frozen_gamma.shape == (1, a.r_max)
+                    assert a.frozen_gamma.value.tobytes() == a.gamma().tobytes()
+
+    @pytest.mark.parametrize("open_task", [True, False])
+    def test_forward_gates_only_the_open_task(self, open_task):
+        bb = small_backbone()
+        bb.freeze()
+        stack = trained_stack(bb, n_frozen=2, open_task=open_task)
+        tape = Tape()
+        forward(bb, stack, np.ones((3, D_IN)), tape)
+        open_adapters = stack.trainable_adapters()
+        assert len(tape.mask_patterns) == len(open_adapters) == (L if open_task else 0)
+        for pattern, a in zip(tape.mask_patterns, open_adapters):
+            assert np.array_equal(pattern, np.abs(a.g.value) > a.tau.value[0, 0])
 
 
 class TestTapeFreePredict:
@@ -373,7 +405,8 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "not_zip", "missing_key",
-                                        "short_hidden", "short_W1", "open_before_later"])
+                                        "short_hidden", "short_W1", "open_before_later",
+                                        "tau_1d", "n_tasks_vector"])
     def test_damaged_file_raises_one_value_error(self, tmp_path, damage):
         bb, stack = self.make_pair()
         p = tmp_path / "model.oacl.npz"
@@ -392,6 +425,10 @@ class TestCheckpoint:
                 del arrays["adapter/p1/t2/g"]
             elif damage == "open_before_later":
                 arrays["adapter/p0/t1/flags"] = np.array([0, 1])  # task 1 open, task 2 next
+            elif damage == "tau_1d":
+                arrays["adapter/p0/t1/tau"] = arrays["adapter/p0/t1/tau"].reshape(-1)
+            elif damage == "n_tasks_vector":
+                arrays["n_tasks"] = np.array([2, 2])
             else:  # one row where several are expected: numpy would broadcast it
                 key = {"short_hidden": "backbone/hidden0", "short_W1": "adapter/p1/t1/W1"}[damage]
                 arrays[key] = arrays[key][:1]

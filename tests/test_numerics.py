@@ -43,6 +43,34 @@ class TestMatmul:
             t.matmul(big, big)
 
 
+class TestLinear:
+    def test_bitwise_equal_to_matmul_of_transpose(self):
+        rng = np.random.default_rng(21)
+        xv, wv, up = rand(rng, 5, 3), rand(rng, 4, 3), rand(rng, 5, 4)
+        results = []
+        for fused in (True, False):
+            x, w = Param(xv), Param(wv)
+            t = Tape()
+            out = t.linear(x, w) if fused else t.matmul(x, t.transpose(w))
+            t.backward(t.sum(t.mul(out, Node(up))))
+            results.append((out.value, x.grad, w.grad))
+        for fused, plain in zip(*results):
+            assert fused.shape == plain.shape and fused.tobytes() == plain.tobytes()
+
+    def test_frozen_weight_keeps_only_the_input_edge(self):
+        t = Tape()
+        x = Param(np.ones((2, 3)))
+        w = Param(np.ones((4, 3)), frozen=True)
+        t.linear(x, w)
+        (_, edges), = t._records
+        (inp, vjp), = edges
+        assert inp is x and vjp(np.ones((2, 4))).shape == (2, 3)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError, match="matmul"):
+            Tape().linear(Node(np.ones((2, 3))), Node(np.ones((4, 5))))
+
+
 class TestBackward:
     def test_sum_gives_all_ones(self):
         t = Tape()
