@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .numerics import Node, Param, Tape, as_matrix, soft_threshold
+from .errors import DimensionError
+from .numerics import Node, Param, Tape, _check_threshold, as_matrix, soft_threshold
 
 
 @dataclass
@@ -34,8 +34,7 @@ class OAAdapter:
 
     def __init__(self, d: int, r_max: int, tau_init: float, rng: np.random.Generator,
                  mask_enabled: bool = True):
-        if tau_init <= 0.0:
-            raise ContractError(f"tau_init must be positive, got {tau_init}")
+        _check_threshold(tau_init)
         bound = 1.0 / np.sqrt(d)
         self.d = d
         self.r_max = r_max

@@ -147,6 +147,12 @@ def predict_logits(backbone: Backbone, stack: AdapterStack | None, x) -> np.ndar
     return matmul(h, backbone.head.value.T)
 
 
+def check_pretraining(steps: int, batch_size: int):
+    """Pretraining takes a step budget >= 0 and batches of >= 1 row."""
+    if steps < 0 or batch_size < 1:
+        raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
+
+
 def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
                        pretrain_data: TaskDataset, steps: int = 400,
                        lr: float = 3e-3, batch_size: int = 32) -> Backbone:
@@ -156,8 +162,7 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
     Failing to reach 60% held-out accuracy after the budget signals a broken
     generator or config.
     """
-    if steps < 0 or batch_size < 1:
-        raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
+    check_pretraining(steps, batch_size)
     backbone = Backbone(d_in, d, L, C, seed)
     if steps == 0:
         backbone.freeze()
@@ -222,9 +227,12 @@ def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
 
 def _restore(param: Param, saved: np.ndarray):
     """Copy a saved array into a parameter; numpy would broadcast a smaller
-    array into it silently, so the shapes must match."""
+    array into it silently, so the shapes must match. A NaN or inf would load
+    silently too and shut every gate or fail every later call."""
     if saved.shape != param.value.shape:
         raise ValueError(f"saved shape {saved.shape} does not fit {param.value.shape}")
+    if not np.isfinite(saved).all():
+        raise ValueError(f"saved array of shape {saved.shape} is not finite")
     param.value[...] = saved
 
 

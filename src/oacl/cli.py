@@ -13,13 +13,14 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .backbone import build_and_pretrain, save_checkpoint
+from .backbone import build_and_pretrain, check_pretraining, save_checkpoint
 from .errors import ConfigError, DataError, GenerationError, NumericalError, PretrainingError
 from .metrics import avg_final_accuracy, budget_report, forgetting_per_task
 from .orthogonality import stack_overlap_summary
@@ -33,11 +34,15 @@ EXIT_NUMERICAL = 3
 COMPARE_TOKENS = VARIANTS + THRESHOLD_MODES
 # Errors from a config, or from the data and backbone it describes; exit 2.
 INPUT_ERRORS = (ConfigError, DataError, GenerationError, PretrainingError)
-# Accepted YAML value types per declared scalar field type; a YAML boolean
-# is none of them, although Python's bool is an int.
-FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
+def _check_seed(value, where: str):
+    """Seeds are non-negative ints, the values numpy's seeding accepts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where}: expected a non-negative int, got {value!r}")
+
+
+# Each section checks its own values when it is built, from YAML or in code.
 @dataclass
 class BackboneConfig:
     d_in: int = 32
@@ -48,6 +53,15 @@ class BackboneConfig:
     pretrain_steps: int = 1200
     pretrain_lr: float = 3e-3
     pretrain_batch_size: int = 32
+
+    def __post_init__(self):
+        if self.layers < 1 or self.d < 1:
+            raise ConfigError("backbone.layers and backbone.d must be >= 1, "
+                              f"got {self.layers} and {self.d}")
+        if not 0 < self.pretrain_lr < np.inf:
+            raise ConfigError("backbone.pretrain_lr must be positive and finite, "
+                              f"got {self.pretrain_lr}")
+        check_pretraining(self.pretrain_steps, self.pretrain_batch_size)
 
 
 @dataclass
@@ -61,47 +75,66 @@ class StreamConfig:
 
 
 @dataclass
+class CompareConfig:
+    """A compare grid's axes. ``oacl compare`` takes each axis from the command
+    line, else from here; with no seeds in either it runs the config's seed."""
+    variants: list[str] = field(default_factory=list)
+    seeds: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not all(v in COMPARE_TOKENS for v in self.variants):
+            raise ConfigError(f"compare.variants: expected tokens from {COMPARE_TOKENS}, "
+                              f"got {self.variants!r}")
+        for seed in self.seeds:
+            _check_seed(seed, "compare.seeds")
+        # a value listed twice would rerun into one cell
+        for name, values in (("variants", self.variants), ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"compare.{name}: a value is listed twice in {values}")
+
+
+@dataclass
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs/run"
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     stream: StreamConfig = field(default_factory=StreamConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    compare_variants: list[str] = field(default_factory=list)
-    compare_seeds: list[int] = field(default_factory=list)
+    compare: CompareConfig = field(default_factory=CompareConfig)
+
+    def __post_init__(self):
+        _check_seed(self.seed, "seed")
 
 
-def _dataclass_from_dict(cls, data: dict, where: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        want = FIELD_TYPES.get(f.type)
-        value = data.get(f.name)
-        if f.name in data and want and (isinstance(value, bool) or not isinstance(value, want)):
-            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {value!r}")
-    return data
-
-
-def _check_seed(value, where: str) -> int:
-    """Seeds are non-negative ints, the values numpy's seeding accepts."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{where}: expected a non-negative int, got {value!r}")
+def _from_yaml(kind, value, where: str):
+    """``value``, read from YAML, as declared type ``kind``. A float field takes
+    a YAML int too; a YAML boolean is no number, although Python's bool is an int."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        (kind,) = (a for a in args if a is not type(None))
+        return None if value is None else _from_yaml(kind, value, where)
+    if dataclasses.is_dataclass(kind):
+        return _from_dict(kind, value, where)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return [_from_yaml(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _check_unique(values: list, where: str) -> list:
-    """A compare axis names each value once; a repeat would rerun it into one cell."""
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{where}: a value is listed twice in {values}")
-    return values
-
-
-def _check_seeds(values, where: str) -> list[int]:
-    return _check_unique([_check_seed(v, where) for v in values], where)
+def _from_dict(cls, data, where: str):
+    """Build dataclass ``cls`` from a YAML mapping; absent keys take the
+    class defaults, and the class checks the values it is given."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
+    kinds = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    return cls(**{name: _from_yaml(kinds[name], value, f"{where}.{name}")
+                  for name, value in data.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -109,55 +142,7 @@ def load_config(path) -> ExperimentConfig:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    if raw is None:
-        raw = {}
-    top_names = {"seed", "out_dir", "backbone", "stream", "train", "compare"}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(raw) - top_names
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-
-    backbone = BackboneConfig(**_dataclass_from_dict(
-        BackboneConfig, raw.get("backbone", {}), "backbone"))
-    stream = StreamConfig(**_dataclass_from_dict(
-        StreamConfig, raw.get("stream", {}), "stream"))
-    train = TrainConfig(**_dataclass_from_dict(TrainConfig, raw.get("train", {}), "train"))
-    compare = raw.get("compare", {})
-    if not isinstance(compare, dict):
-        raise ConfigError("compare: expected a mapping")
-    bad_compare = set(compare) - {"variants", "seeds"}
-    if bad_compare:
-        raise ConfigError(f"compare: unknown keys {sorted(bad_compare)}")
-
-    seed = _check_seed(raw.get("seed", 0), "seed")
-    out_dir = raw.get("out_dir", "runs/run")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
-    variants = compare.get("variants", [])
-    seeds = compare.get("seeds", [])
-    if not isinstance(variants, list) or not all(v in COMPARE_TOKENS for v in variants):
-        raise ConfigError(f"compare.variants: expected a list drawn from {COMPARE_TOKENS}, "
-                          f"got {variants!r}")
-    _check_unique(variants, "compare.variants")
-    if not isinstance(seeds, list):
-        raise ConfigError(f"compare.seeds: expected a list, got {seeds!r}")
-    seeds = _check_seeds(seeds, "compare.seeds")
-    if backbone.layers < 1 or backbone.d < 1:
-        raise ConfigError("backbone.layers and backbone.d must be >= 1, "
-                          f"got {backbone.layers} and {backbone.d}")
-    if not 0 < backbone.pretrain_lr < np.inf:
-        raise ConfigError("backbone.pretrain_lr must be positive and finite, "
-                          f"got {backbone.pretrain_lr}")
-    return ExperimentConfig(
-        seed=seed,
-        out_dir=out_dir,
-        backbone=backbone,
-        stream=stream,
-        train=train,
-        compare_variants=variants,
-        compare_seeds=seeds,
-    )
+    return _from_dict(ExperimentConfig, {} if raw is None else raw, "config")
 
 
 def _config_snapshot(cfg: ExperimentConfig) -> dict:
@@ -255,7 +240,6 @@ def _variant_config(cfg: ExperimentConfig, token: str, seed: int) -> ExperimentC
 def cmd_run(config_path, out_override=None, seed_override=None) -> int:
     cfg = load_config(config_path)
     if seed_override is not None:
-        _check_seed(seed_override, "--seed")
         cfg = dataclasses.replace(cfg, seed=seed_override)
     out_dir = Path(out_override) if out_override else Path(cfg.out_dir)
     execute_run(cfg, out_dir)
@@ -264,18 +248,17 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
 
 def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> int:
     cfg = load_config(config_path)
-    variants = _check_unique(list(variants), "--variants") if variants else cfg.compare_variants
-    seeds = (_check_seeds(seeds, "--seeds") if seeds
-             else (cfg.compare_seeds or [cfg.seed]))
-    if len(variants) < 2:
+    grid = CompareConfig(variants or cfg.compare.variants,
+                         seeds or cfg.compare.seeds or [cfg.seed])
+    if len(grid.variants) < 2:
         raise ConfigError("compare needs at least two variants")
     out_dir = Path(out_override) if out_override else Path(cfg.out_dir)
 
     rows = []
     failures = 0
-    for token in variants:
+    for token in grid.variants:
         accs, budgets, saved = [], [], []
-        for seed in seeds:
+        for seed in grid.seeds:
             cell_dir = out_dir / token / f"seed{seed}"
             try:
                 summary = execute_run(_variant_config(cfg, token, seed), cell_dir)

@@ -61,7 +61,8 @@ def _gate_dtau(active: np.ndarray, sign: np.ndarray, upstream: np.ndarray) -> fl
 
 
 def _check_threshold(tau: float) -> float:
-    if tau <= 0.0:
+    """A soft threshold is positive; written so that NaN fails too."""
+    if not tau > 0.0:
         raise ContractError(f"threshold must be positive, got {tau}")
     return tau
 

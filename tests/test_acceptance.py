@@ -204,6 +204,7 @@ def test_04_reactivation(capsys):
         assert g_grad() != 0.0
 
 
+@pytest.mark.slow
 def test_05_orthogonality_efficacy(capsys):
     """With the orthogonality penalty on, cross-task up-projection overlap is
     driven well below the unconstrained ablation's."""
@@ -218,6 +219,7 @@ def test_05_orthogonality_efficacy(capsys):
                 f"vs {with_pen['mean_overlap']:.3f}")
 
 
+@pytest.mark.slow
 def test_06_forgetting_mitigation(capsys):
     """Variant ordering on 3-seed mean final accuracy, plus task-1 retention."""
     with criterion(capsys, 6, "forgetting mitigation"):
@@ -231,6 +233,7 @@ def test_06_forgetting_mitigation(capsys):
         assert t1["oa"] >= t1["inc"] + 0.10, f"task-1 retention {t1}"
 
 
+@pytest.mark.slow
 def test_07_budget_adaptation(capsys):
     """The learned masks allocate less than the full budget, unevenly across
     layers, and most sparsely for the first (in-distribution) task."""
@@ -253,6 +256,7 @@ def test_07_budget_adaptation(capsys):
                 f"seed {seed}: task-1 mean r_eff {task1} > later {later}")
 
 
+@pytest.mark.slow
 def test_08_dynamic_vs_fixed_threshold(capsys):
     """Trainable thresholds do at least as well as frozen ones on average."""
     with criterion(capsys, 8, "dynamic vs fixed threshold"):

@@ -31,6 +31,19 @@ class TestSoftThreshold:
         with pytest.raises(ContractError):
             soft_threshold([1.0], -0.1)
 
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ContractError):
+            soft_threshold([1.0, -2.0], float("nan"))
+
+    def test_nan_tau_node_rejected(self):
+        with pytest.raises(ContractError):
+            Tape().soft_threshold(Param([[1.0, -2.0]]), Param([[float("nan")]]))
+
+    @pytest.mark.parametrize("tau", [0.0, float("nan")])
+    def test_adapter_rejects_nonpositive_tau_init(self, tau):
+        with pytest.raises(ContractError):
+            make_adapter(tau=tau)
+
 
 class TestSoftThresholdBackward:
     @staticmethod

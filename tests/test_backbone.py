@@ -406,7 +406,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "not_zip", "missing_key",
                                         "short_hidden", "short_W1", "open_before_later",
-                                        "tau_1d", "n_tasks_vector"])
+                                        "tau_1d", "n_tasks_vector", "nan_W1", "nan_tau"])
     def test_damaged_file_raises_one_value_error(self, tmp_path, damage):
         bb, stack = self.make_pair()
         p = tmp_path / "model.oacl.npz"
@@ -429,6 +429,8 @@ class TestCheckpoint:
                 arrays["adapter/p0/t1/tau"] = arrays["adapter/p0/t1/tau"].reshape(-1)
             elif damage == "n_tasks_vector":
                 arrays["n_tasks"] = np.array([2, 2])
+            elif damage in ("nan_W1", "nan_tau"):
+                arrays[f"adapter/p1/t1/{damage[4:]}"].flat[0] = np.nan
             else:  # one row where several are expected: numpy would broadcast it
                 key = {"short_hidden": "backbone/hidden0", "short_W1": "adapter/p1/t1/W1"}[damage]
                 arrays[key] = arrays[key][:1]

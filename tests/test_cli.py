@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oacl import cli
-from oacl.cli import (COMPARE_TOKENS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, BackboneConfig,
-                      StreamConfig, load_config, main)
+from oacl.cli import (COMPARE_TOKENS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CompareConfig,
+                      ExperimentConfig, load_config, main)
 from oacl.errors import ConfigError
-from oacl.trainer import TrainConfig
 
 # A deliberately tiny experiment so CLI round trips stay fast.
 SMALL = {
@@ -71,6 +71,26 @@ class TestLoadConfig:
         p = write_config(tmp_path, {"train": {"tau_init": 0.5}})
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_unknown_keys_of_mixed_types(self, tmp_path):
+        p = tmp_path / "mixed.yaml"
+        p.write_text("banana: 1\n7: 2\n")
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(p)
+
+    def test_sections_built_in_code_check_themselves(self, tmp_path):
+        """The rules hold however a config is built, not only through load_config."""
+        cfg = load_config(write_config(tmp_path))
+        for build in (lambda: dataclasses.replace(cfg, seed=-1),
+                      lambda: dataclasses.replace(cfg.backbone, layers=0),
+                      lambda: dataclasses.replace(cfg.backbone, pretrain_lr=float("nan")),
+                      lambda: dataclasses.replace(cfg.backbone, pretrain_batch_size=0),
+                      lambda: CompareConfig(seeds=[0, 0]),
+                      lambda: CompareConfig(seeds=[-1]),
+                      lambda: CompareConfig(variants=["lora", "oa_adapter"]),
+                      lambda: CompareConfig(variants=["fixed", "fixed"])):
+            with pytest.raises(ConfigError):
+                build()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -288,6 +308,8 @@ class TestExitCodes:
         {"backbone": {"pretrain_lr": -0.003}},
         {"compare": {"variants": ["oa_adapter", "oa_adapter"]}},
         {"train": {"seed": 7}},
+        {"backbone": {"pretrain_batch_size": 0}},
+        {"backbone": {"pretrain_steps": -1}},
     ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
             "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
             "seed_float", "compare_seed_float", "seed_negative", "zero_width",
@@ -297,7 +319,8 @@ class TestExitCodes:
             "lambda_orth_bool", "lr_bool", "epochs_bool", "compare_seed_bool",
             "out_dir_not_str", "compare_seed_repeated", "pretrain_lr_nan",
             "pretrain_lr_inf", "pretrain_lr_zero", "pretrain_lr_negative",
-            "compare_variant_repeated", "train_seed"])
+            "compare_variant_repeated", "train_seed", "zero_batch",
+            "pretrain_steps_negative"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"
@@ -306,10 +329,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("backbone", [
         {"pretrain_steps": 3},
-        {"pretrain_batch_size": 0},
-    ], ids=["too_few_steps", "zero_batch"])
+    ], ids=["too_few_steps"])
     def test_bad_pretraining_rejected(self, tmp_path, backbone):
-        # checked by pretraining itself, after the output directory exists
+        # the accuracy floor, checked after pretraining, once the output directory exists
         p = write_config(tmp_path, {"backbone": backbone})
         assert main(["run", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -357,11 +379,19 @@ TINY = {
     "train": {"r_max": 2, "epochs": 1, "batch_size": 8},
     "compare": {"variants": ["oa_adapter", "fixed"], "seeds": [0]},
 }
-FIELDS = ([(None, "seed"), (None, "out_dir"), ("compare", "variants"), ("compare", "seeds")]
-          + [(section, f.name)
-             for section, cls in (("backbone", BackboneConfig), ("stream", StreamConfig),
-                                  ("train", TrainConfig))
-             for f in dataclasses.fields(cls)])
+
+
+def leaf_fields(cls, path=()):
+    """The key path of every scalar or list field under config class ``cls``."""
+    kinds = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(kinds[f.name]):
+            yield from leaf_fields(kinds[f.name], (*path, f.name))
+        else:
+            yield (*path, f.name)
+
+
+FIELDS = list(leaf_fields(ExperimentConfig))
 YAML_VALUES = st.one_of(
     st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=4), st.none(),
     st.lists(st.integers(-2, 3), max_size=3),
@@ -373,9 +403,11 @@ class TestMalformedConfigs:
     @given(field=st.sampled_from(FIELDS), value=YAML_VALUES)
     def test_any_single_field_value_exits_cleanly(self, field, value):
         """Exit 0, 2 or 3 for any value of any one field; never a traceback."""
-        section, name = field
         cfg = json.loads(json.dumps(TINY))
-        (cfg if section is None else cfg[section])[name] = value
+        section = cfg
+        for key in field[:-1]:
+            section = section.setdefault(key, {})
+        section[field[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "exp.yaml"
             path.write_text(yaml.safe_dump(cfg))
