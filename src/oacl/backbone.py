@@ -15,7 +15,7 @@ import numpy as np
 from .adapters import OAAdapter, oa_delta
 from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
-from .numerics import Node, Param, Tape, _finite, as_matrix, matmul
+from .numerics import Node, Param, Tape, _finite, _matmul, _softmax_xent, as_matrix, matmul
 from .optim import Adam
 from .orthogonality import activated_basis
 from .tasks import TaskDataset
@@ -153,6 +153,30 @@ def check_pretraining(steps: int, batch_size: int):
         raise ConfigError(f"need steps >= 0 and batch_size >= 1, got {steps} and {batch_size}")
 
 
+def _pretrain_step(backbone: Backbone, x: np.ndarray, labels: np.ndarray):
+    """Add one batch's mean cross-entropy gradients into the grads of
+    backbone.params(), without a tape. The forward runs predict_logits' ops
+    with no stack and keeps each tanh output; the backward runs the numpy
+    expressions of the tape's records in its reverse order, so every gradient
+    has the bits that forward, Tape.cross_entropy and Tape.backward give. The
+    grads are views into the optimizer's flat buffer: written in place."""
+    hs = [np.tanh(_matmul(x, backbone.embed.value.T))]
+    for w in backbone.hidden:
+        hs.append(np.tanh(_matmul(hs[-1], w.value.T)))
+    head = backbone.head.value
+    g = _softmax_xent(_matmul(hs[-1], head.T), labels)[1]
+    g *= 1.0 / len(labels)
+    backbone.head.grad += (hs[-1].T @ g).T
+    g = g @ head
+    for i in range(len(backbone.hidden) - 1, -1, -1):
+        w, h_in, h_out = backbone.hidden[i], hs[i], hs[i + 1]
+        g = g * (1.0 - h_out * h_out)
+        w.grad += (h_in.T @ g).T
+        g = g @ w.value
+    g = g * (1.0 - hs[0] * hs[0])
+    backbone.embed.grad += (x.T @ g).T
+
+
 def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
                        pretrain_data: TaskDataset, steps: int = 400,
                        lr: float = 3e-3, batch_size: int = 32) -> Backbone:
@@ -169,6 +193,9 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
         return backbone
 
     x_train, y_train = pretrain_data.train
+    x_train = as_matrix(x_train)
+    if x_train.shape[1] != d_in:
+        raise DimensionError(f"input width {x_train.shape[1]} does not match d_in={d_in}")
     x_val, y_val = pretrain_data.val
     opt = Adam(backbone.params(), lr=lr)
     rng = np.random.default_rng([seed, SEED_PRETRAIN_SHUFFLE])
@@ -182,10 +209,7 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
         opt.zero_grad()
-        tape = Tape()
-        logits = forward(backbone, None, x_train[idx], tape)
-        loss = tape.cross_entropy(logits, y_train[idx])
-        tape.backward(loss)
+        _pretrain_step(backbone, x_train[idx], y_train[idx])
         opt.step()
 
     acc = accuracy(predict_logits(backbone, None, x_val), y_val)

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .backbone import build_and_pretrain, check_pretraining, save_checkpoint
+from .backbone import Backbone, build_and_pretrain, check_pretraining, save_checkpoint
 from .errors import ConfigError, DataError, GenerationError, NumericalError, PretrainingError
 from .metrics import avg_final_accuracy, budget_report, forgetting_per_task
 from .orthogonality import stack_overlap_summary
-from .tasks import gen_base, gen_task_stream, reorder
+from .tasks import (check_classes, check_permutation, check_split_sizes, check_stream,
+                    gen_base, gen_task_stream, reorder)
 from .trainer import THRESHOLD_MODES, VARIANTS, TrainConfig, run_sequence
 
 EXIT_OK = 0
@@ -62,6 +63,8 @@ class BackboneConfig:
             raise ConfigError("backbone.pretrain_lr must be positive and finite, "
                               f"got {self.pretrain_lr}")
         check_pretraining(self.pretrain_steps, self.pretrain_batch_size)
+        check_classes(self.classes, self.d_in)
+        check_split_sizes(self.pretrain_per_class)
 
 
 @dataclass
@@ -72,6 +75,12 @@ class StreamConfig:
     n_test_per_class: int = 100
     shift: str = "rotation"
     order: list[int] | None = None
+
+    def __post_init__(self):
+        check_stream(self.tasks, self.shift)
+        check_split_sizes(self.n_train_per_class, self.n_val_per_class, self.n_test_per_class)
+        if self.order is not None:
+            check_permutation(self.order, self.tasks)
 
 
 @dataclass
@@ -162,13 +171,23 @@ def _make_dir(path: Path):
         raise ConfigError(f"cannot create output directory {path}: {e}") from e
 
 
-def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Generate the data, pretrain, run the task sequence, and persist all
-    artifacts. The generators check the data fields of the config, so a bad
-    value fails before the output directory or any training exists."""
+def _pretrain(cfg: ExperimentConfig) -> Backbone:
+    """The frozen backbone a run of ``cfg`` starts from. It depends only on the
+    seed and the backbone section."""
+    bb = cfg.backbone
+    base = gen_base(cfg.seed, bb.classes, bb.d_in, bb.pretrain_per_class)
+    return build_and_pretrain(
+        cfg.seed, bb.d_in, bb.d, bb.layers, bb.classes, base,
+        steps=bb.pretrain_steps, lr=bb.pretrain_lr,
+        batch_size=bb.pretrain_batch_size)
+
+
+def execute_run(cfg: ExperimentConfig, out_dir: Path, backbone: Backbone | None = None) -> dict:
+    """Generate the data, pretrain unless given the backbone ``_pretrain(cfg)``
+    returns, run the task sequence, and persist all artifacts. The config
+    checked its values when it was built, so no bad value reaches here."""
     started = time.perf_counter()
     bb, st = cfg.backbone, cfg.stream
-    base = gen_base(cfg.seed, bb.classes, bb.d_in, bb.pretrain_per_class)
     stream = gen_task_stream(
         cfg.seed, st.tasks, bb.classes, bb.d_in,
         n_train_per_class=st.n_train_per_class, shift=st.shift,
@@ -177,10 +196,8 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
         stream = reorder(stream, st.order)
 
     _make_dir(out_dir)
-    backbone = build_and_pretrain(
-        cfg.seed, bb.d_in, bb.d, bb.layers, bb.classes, base,
-        steps=bb.pretrain_steps, lr=bb.pretrain_lr,
-        batch_size=bb.pretrain_batch_size)
+    if backbone is None:
+        backbone = _pretrain(cfg)
     result = run_sequence(backbone, stream, cfg.train, cfg.seed)
     wall = time.perf_counter() - started
 
@@ -256,12 +273,17 @@ def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> in
 
     rows = []
     failures = 0
+    backbones = {}  # one pretrained backbone per seed and backbone section
     for token in grid.variants:
         accs, budgets, saved = [], [], []
         for seed in grid.seeds:
+            cell = _variant_config(cfg, token, seed)
             cell_dir = out_dir / token / f"seed{seed}"
+            key = (seed, dataclasses.astuple(cell.backbone))
             try:
-                summary = execute_run(_variant_config(cfg, token, seed), cell_dir)
+                if key not in backbones:
+                    backbones[key] = _pretrain(cell)
+                summary = execute_run(cell, cell_dir, backbones[key])
             except NumericalError as e:
                 print(f"[compare] {token} seed {seed} failed: {e}", file=sys.stderr)
                 failures += 1

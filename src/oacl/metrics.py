@@ -40,6 +40,8 @@ def accuracy(logits, labels) -> float:
     toward the lowest class index (numpy argmax convention)."""
     if len(labels) == 0:
         raise DataError("cannot evaluate accuracy on an empty split")
+    if len(labels) != logits.shape[0]:
+        raise DataError(f"{len(labels)} labels for {logits.shape[0]} rows of logits")
     return float((logits.argmax(axis=1) == labels).mean())
 
 

@@ -84,6 +84,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _matmul(as_matrix(a), as_matrix(b))
 
 
+def _softmax_xent(z: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy of logits z (n, c) against class indices, after
+    checking the labels: the log-sum-exp of each row (n, 1), and the gradient
+    of the summed NLL, softmax(z) - onehot(labels)."""
+    n, c = z.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise DimensionError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.min() < 0 or labels.max() >= c:
+        raise DataError(f"label outside [0, {c})")
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    d = np.exp(z - lse)
+    d[np.arange(n), labels] -= 1.0
+    return lse, d
+
+
 class Node:
     """A value in the computation graph. Immutable once created."""
 
@@ -247,24 +264,11 @@ class Tape:
 
     def cross_entropy(self, logits: Node, labels: np.ndarray) -> Node:
         """Mean softmax cross-entropy over a batch; labels are class indices."""
-        n, c = logits.shape
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise DimensionError(f"labels shape {labels.shape} does not match batch {n}")
-        if labels.min() < 0 or labels.max() >= c:
-            raise DataError(f"label outside [0, {c})")
         z = logits.value
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+        n = z.shape[0]
+        lse, d = _softmax_xent(z, labels)
         nll = lse[:, 0] - z[np.arange(n), labels]
-        softmax = np.exp(z - lse)
-
-        def vjp(g):
-            d = softmax.copy()
-            d[np.arange(n), labels] -= 1.0
-            return g[0, 0] / n * d
-
-        return self._push(Node([[nll.mean()]]), ((logits, vjp),))
+        return self._push(Node([[nll.mean()]]), ((logits, lambda g: g[0, 0] / n * d),))
 
     # -- backward ------------------------------------------------------
 

@@ -42,10 +42,48 @@ class TaskStream:
     order_id: str
 
 
-def _cluster_means(seed: int, C: int, d_in: int, max_cos: float = 0.5) -> np.ndarray:
-    """Unit-norm mean directions with pairwise angle >= 60 degrees."""
+SHIFTS = ("rotation", "rotation+relabel")
+
+
+# Each rule on the generators' arguments lives in one checker, called by the
+# generator and by the config section that holds the value.
+def check_classes(C: int, d_in: int):
+    """C unit-norm means 60 degrees apart need C >= 2 classes and d_in >= C."""
     if C < 2 or d_in < C:
         raise GenerationError(f"need C >= 2 and d_in >= C, got C={C}, d_in={d_in}")
+
+
+def check_split_sizes(n_train: int, n_val: int = 0, n_test: int = 1):
+    """Rows per class of each split: a training or test split needs rows, a
+    validation split may be empty. The defaults pass, for a caller that has
+    only a training split."""
+    if n_train <= 0:
+        raise DataError(f"n_train_per_class must be positive, got {n_train}")
+    if n_val < 0:
+        raise DataError(f"n_val_per_class must be non-negative, got {n_val}")
+    if n_test <= 0:
+        raise DataError(f"n_test_per_class must be positive, got {n_test}")
+
+
+def check_stream(T: int, shift: str):
+    """A stream has at least one task and a known shift."""
+    if T < 1:
+        raise ConfigError(f"need at least one task, got T={T}")
+    if shift not in SHIFTS:
+        raise ConfigError(f"unknown shift {shift!r}")
+
+
+def check_permutation(permutation, T: int):
+    """A task order is a 1-based permutation of [1..T], as a list or tuple of ints."""
+    if not (isinstance(permutation, (list, tuple))
+            and all(type(p) is int for p in permutation)
+            and sorted(permutation) == list(range(1, T + 1))):
+        raise ConfigError(f"{permutation!r} is not a permutation of 1..{T}")
+
+
+def _cluster_means(seed: int, C: int, d_in: int, max_cos: float = 0.5) -> np.ndarray:
+    """Unit-norm mean directions with pairwise angle >= 60 degrees."""
+    check_classes(C, d_in)
     rng = np.random.default_rng([seed, SEED_MEANS])
     for _ in range(MAX_MEAN_TRIES):
         m = rng.standard_normal((C, d_in))
@@ -80,8 +118,7 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def gen_base(seed: int, C: int, d_in: int, n_train_per_class: int,
              n_val_per_class: int = 50, n_test_per_class: int = 100) -> TaskDataset:
     """Base-distribution dataset, used for backbone pretraining."""
-    if n_train_per_class <= 0:
-        raise DataError(f"n_train_per_class must be positive, got {n_train_per_class}")
+    check_split_sizes(n_train_per_class, n_val_per_class, n_test_per_class)
     means = _cluster_means(seed, C, d_in)
     splits = []
     for k, n in enumerate((n_train_per_class, n_val_per_class, n_test_per_class)):
@@ -96,16 +133,8 @@ def gen_task_stream(seed: int, T: int, C: int, d_in: int,
     """Task 1 is the base distribution; every later task rotates the inputs
     by a fresh random orthogonal matrix (and permutes labels for
     shift='rotation+relabel')."""
-    if T < 1:
-        raise ConfigError(f"need at least one task, got T={T}")
-    if shift not in ("rotation", "rotation+relabel"):
-        raise ConfigError(f"unknown shift {shift!r}")
-    if n_train_per_class <= 0:
-        raise DataError(f"n_train_per_class must be positive, got {n_train_per_class}")
-    if n_val_per_class < 0:
-        raise DataError(f"n_val_per_class must be non-negative, got {n_val_per_class}")
-    if n_test_per_class <= 0:
-        raise DataError(f"n_test_per_class must be positive, got {n_test_per_class}")
+    check_stream(T, shift)
+    check_split_sizes(n_train_per_class, n_val_per_class, n_test_per_class)
     means = _cluster_means(seed, C, d_in)
     tasks = []
     for t in range(1, T + 1):
@@ -129,12 +158,7 @@ def gen_task_stream(seed: int, T: int, C: int, d_in: int,
 
 
 def reorder(stream: TaskStream, permutation) -> TaskStream:
-    """Reorder the stream by a 1-based permutation of [1..T], given as a list
-    or tuple of ints."""
-    T = len(stream.tasks)
-    if not (isinstance(permutation, (list, tuple))
-            and all(type(p) is int for p in permutation)
-            and sorted(permutation) == list(range(1, T + 1))):
-        raise ConfigError(f"{permutation!r} is not a permutation of 1..{T}")
+    """Reorder the stream by a 1-based permutation of [1..T] (check_permutation)."""
+    check_permutation(permutation, len(stream.tasks))
     return TaskStream(tasks=[stream.tasks[p - 1] for p in permutation],
                       order_id="-".join(str(p) for p in permutation))

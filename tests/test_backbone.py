@@ -3,14 +3,17 @@ import re
 import numpy as np
 import pytest
 
+from oacl import cli
 from oacl.adapters import OAAdapter
-from oacl.backbone import (AdapterStack, Backbone, begin_task,
-                           build_and_pretrain, end_task, forward,
+from oacl.backbone import (SEED_PRETRAIN_SHUFFLE, AdapterStack, Backbone, _pretrain_step,
+                           begin_task, build_and_pretrain, end_task, forward,
                            load_checkpoint, predict_logits, save_checkpoint)
 from oacl.errors import (ConfigError, DimensionError, NumericalError, PretrainingError,
                          ProtocolError)
+from oacl.metrics import accuracy
 from oacl.numerics import Param, Tape, check_gradients, zero_grads
-from oacl.tasks import gen_base
+from oacl.optim import Adam
+from oacl.tasks import TaskDataset, gen_base
 from oacl.trainer import TrainConfig, total_loss
 
 D_IN, D, L, C = 6, 8, 2, 3
@@ -293,6 +296,18 @@ class TestTaskLifecycle:
         assert all(point[0].frozen for point in stack.points)
 
 
+def overflowing(data: TaskDataset, seed: int) -> TaskDataset:
+    """``data`` with every training row at the largest float, signed like the
+    heaviest row of the embedding that ``seed`` draws at these widths: that
+    unit's input sums to more than the largest float."""
+    w = Backbone(D_IN, D, 1, 2, seed).embed.value
+    heaviest = np.abs(w).sum(axis=1).argmax()
+    assert np.abs(w[heaviest]).sum() > 1.01
+    row = np.sign(w[heaviest]) * np.finfo(np.float64).max
+    y = data.train[1]
+    return TaskDataset(0, (np.tile(row, (len(y), 1)), y), data.val, data.test)
+
+
 @pytest.fixture(scope="module")
 def base_data():
     return gen_base(0, C, D_IN, 100)
@@ -325,6 +340,70 @@ class TestPretraining:
     def test_insufficient_budget_raises(self, base_data):
         with pytest.raises(PretrainingError):
             build_and_pretrain(0, D_IN, D, L, C, base_data, steps=1)
+
+    @pytest.mark.parametrize("layers, batch, d_in, classes", [
+        (1, 1, D_IN, C), (1, 7, D_IN, 2), (3, 1, D_IN, 2), (3, 7, D_IN, C), (3, 7, D, C)])
+    def test_fused_step_gradients_equal_the_tapes(self, layers, batch, d_in, classes):
+        """The fused step adds the bytes that forward, cross_entropy and
+        backward add, into grads that already hold something."""
+        rng = np.random.default_rng(layers * 10 + batch)
+        x = rng.standard_normal((batch, d_in))
+        y = rng.integers(0, classes, size=batch)
+        fused, taped = (Backbone(d_in, D, layers, classes, seed=5) for _ in range(2))
+        for a, b in zip(fused.params(), taped.params()):
+            a.grad[...] = b.grad[...] = rng.standard_normal(a.grad.shape)
+        _pretrain_step(fused, x, y)
+        tape = Tape()
+        tape.backward(tape.cross_entropy(forward(taped, None, x, tape), y))
+        for a, b in zip(fused.params(), taped.params()):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    def test_pretraining_equals_a_taped_loop(self, base_data):
+        """build_and_pretrain gives the weights and accuracy, to the bit, of the
+        same loop run on the tape."""
+        steps, batch = 50, 7  # 300 rows: the order is redrawn after 42 batches
+        got = build_and_pretrain(2, D_IN, D, L, C, base_data, steps=steps, batch_size=batch)
+        want = Backbone(D_IN, D, L, C, seed=2)
+        opt = Adam(want.params(), lr=3e-3)
+        x, y = base_data.train
+        rng = np.random.default_rng([2, SEED_PRETRAIN_SHUFFLE])
+        order, cursor = rng.permutation(len(y)), 0
+        for _ in range(steps):
+            if cursor + batch > len(y):
+                order, cursor = rng.permutation(len(y)), 0
+            idx = order[cursor:cursor + batch]
+            cursor += batch
+            opt.zero_grad()
+            tape = Tape()
+            tape.backward(tape.cross_entropy(forward(want, None, x[idx], tape), y[idx]))
+            opt.step()
+        for a, b in zip(got.params(), want.params()):
+            assert a.value.tobytes() == b.value.tobytes()
+        assert got.pretrain_accuracy == accuracy(predict_logits(want, None, base_data.val[0]),
+                                                 base_data.val[1])
+
+    def test_overflowing_input_raises_numerical_error(self, base_data):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                build_and_pretrain(0, D_IN, D, L, C, overflowing(base_data, 0), steps=5)
+
+    def test_overflowing_pretraining_exits_3(self, tmp_path, monkeypatch):
+        real = cli.gen_base
+        monkeypatch.setattr(cli, "gen_base", lambda seed, *args: overflowing(real(seed, *args),
+                                                                              seed))
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"backbone: {{d_in: {D_IN}, d: {D}, layers: 1, classes: {C},"
+                        " pretrain_per_class: 20, pretrain_steps: 5}\n"
+                        "stream: {tasks: 1, n_train_per_class: 4}\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["run", "--config", str(path),
+                             "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERICAL
+
+    def test_wrong_input_width_rejected(self, base_data):
+        x, y = base_data.train
+        wide = TaskDataset(0, (np.hstack([x, x]), y), base_data.val, base_data.test)
+        with pytest.raises(DimensionError):
+            build_and_pretrain(0, D_IN, D, L, C, wide, steps=5)
 
     def test_same_seed_reproduces_weights(self, base_data):
         a = build_and_pretrain(3, D_IN, D, L, C, base_data, steps=50, lr=1e-3)

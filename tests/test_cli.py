@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oacl import cli
 from oacl.cli import (COMPARE_TOKENS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CompareConfig,
                       ExperimentConfig, load_config, main)
-from oacl.errors import ConfigError
+from oacl.errors import ConfigError, DataError, GenerationError
 
 # A deliberately tiny experiment so CLI round trips stay fast.
 SMALL = {
@@ -81,15 +81,26 @@ class TestLoadConfig:
     def test_sections_built_in_code_check_themselves(self, tmp_path):
         """The rules hold however a config is built, not only through load_config."""
         cfg = load_config(write_config(tmp_path))
-        for build in (lambda: dataclasses.replace(cfg, seed=-1),
-                      lambda: dataclasses.replace(cfg.backbone, layers=0),
-                      lambda: dataclasses.replace(cfg.backbone, pretrain_lr=float("nan")),
-                      lambda: dataclasses.replace(cfg.backbone, pretrain_batch_size=0),
-                      lambda: CompareConfig(seeds=[0, 0]),
-                      lambda: CompareConfig(seeds=[-1]),
-                      lambda: CompareConfig(variants=["lora", "oa_adapter"]),
-                      lambda: CompareConfig(variants=["fixed", "fixed"])):
-            with pytest.raises(ConfigError):
+        for error, build in (
+                (ConfigError, lambda: dataclasses.replace(cfg, seed=-1)),
+                (ConfigError, lambda: dataclasses.replace(cfg.backbone, layers=0)),
+                (ConfigError, lambda: dataclasses.replace(cfg.backbone, pretrain_lr=float("nan"))),
+                (ConfigError, lambda: dataclasses.replace(cfg.backbone, pretrain_batch_size=0)),
+                (GenerationError, lambda: dataclasses.replace(cfg.backbone, classes=40)),
+                (GenerationError, lambda: dataclasses.replace(cfg.backbone, classes=1)),
+                (DataError, lambda: dataclasses.replace(cfg.backbone, pretrain_per_class=0)),
+                (ConfigError, lambda: dataclasses.replace(cfg.stream, tasks=0)),
+                (ConfigError, lambda: dataclasses.replace(cfg.stream, shift="nope")),
+                (ConfigError, lambda: dataclasses.replace(cfg.stream, order=[1, 1])),
+                (ConfigError, lambda: dataclasses.replace(cfg.stream, order=[1, 2, 3])),
+                (DataError, lambda: dataclasses.replace(cfg.stream, n_train_per_class=0)),
+                (DataError, lambda: dataclasses.replace(cfg.stream, n_val_per_class=-1)),
+                (DataError, lambda: dataclasses.replace(cfg.stream, n_test_per_class=0)),
+                (ConfigError, lambda: CompareConfig(seeds=[0, 0])),
+                (ConfigError, lambda: CompareConfig(seeds=[-1])),
+                (ConfigError, lambda: CompareConfig(variants=["lora", "oa_adapter"])),
+                (ConfigError, lambda: CompareConfig(variants=["fixed", "fixed"]))):
+            with pytest.raises(error):
                 build()
 
     def test_missing_file(self, tmp_path):
@@ -219,6 +230,31 @@ class TestCompareCommand:
             cells.append(out / "oa_adapter" / "seed0")
         assert_same_artifacts(*cells)
 
+    def test_each_seed_pretrains_once(self, tmp_path, monkeypatch):
+        """A 2 x 2 grid pretrains once per seed, and each cell holds the files
+        that its own oacl run writes."""
+        real = cli.build_and_pretrain
+        seeds = []
+
+        def counted(seed, *args, **kwargs):
+            seeds.append(seed)
+            return real(seed, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_and_pretrain", counted)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--variants", "inc_adapter", "fixed", "--seeds", "0", "1"]) == EXIT_OK
+        assert sorted(seeds) == [0, 1]
+        cells = {"inc_adapter": {"variant": "inc_adapter"},
+                 "fixed": {"variant": "oa_adapter", "threshold_mode": "fixed"}}
+        for token, train in cells.items():
+            path = write_config(tmp_path, {"train": train}, name=f"{token}.yaml")
+            for seed in (0, 1):
+                alone = tmp_path / token / f"seed{seed}"
+                assert main(["run", "--config", str(path), "--out", str(alone),
+                             "--seed", str(seed)]) == EXIT_OK
+                assert_same_artifacts(out / token / f"seed{seed}", alone)
+
     def test_single_variant_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         code = main(["compare", "--config", str(cfg),
@@ -310,6 +346,8 @@ class TestExitCodes:
         {"train": {"seed": 7}},
         {"backbone": {"pretrain_batch_size": 0}},
         {"backbone": {"pretrain_steps": -1}},
+        {"backbone": {"pretrain_per_class": 0}},
+        {"stream": {"shift": "nope"}},
     ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
             "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
             "seed_float", "compare_seed_float", "seed_negative", "zero_width",
@@ -320,7 +358,7 @@ class TestExitCodes:
             "out_dir_not_str", "compare_seed_repeated", "pretrain_lr_nan",
             "pretrain_lr_inf", "pretrain_lr_zero", "pretrain_lr_negative",
             "compare_variant_repeated", "train_seed", "zero_batch",
-            "pretrain_steps_negative"])
+            "pretrain_steps_negative", "pretrain_per_class_zero", "unknown_shift"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"

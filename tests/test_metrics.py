@@ -53,6 +53,16 @@ class TestAccuracy:
         with pytest.raises(DataError):
             accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    def test_one_label_for_three_rows_rejected(self):
+        # numpy would broadcast the one label across the rows: 1/3
+        with pytest.raises(DataError, match="1 labels for 3 rows"):
+            accuracy(np.eye(3), np.array([0]))
+
+    def test_two_labels_for_three_rows_rejected(self):
+        # numpy would raise its own ValueError on the mismatched shapes
+        with pytest.raises(DataError, match="2 labels for 3 rows"):
+            accuracy(np.eye(3), np.array([0, 1]))
+
 
 class TestForgetting:
     def test_no_forgetting(self):
