@@ -3,19 +3,10 @@ effective dimension is governed by a trainable soft-threshold mask."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
 from .numerics import Node, Param, Tape, _check_threshold, as_matrix, soft_threshold
-
-
-@dataclass
-class MaskSnapshot:
-    gamma: np.ndarray
-    active_indices: np.ndarray
-    r_eff: int
 
 
 W2_INIT_SCALE = 1e-3
@@ -111,9 +102,3 @@ def outer_product_form(adapter: OAAdapter, x) -> np.ndarray:
         rank1 = np.outer(adapter.W2.value[:, i], adapter.W1.value[i, :])
         y += gamma[i] * (x @ rank1.T)
     return y
-
-
-def snapshot_mask(adapter: OAAdapter) -> MaskSnapshot:
-    gamma = adapter.gamma()
-    active = np.flatnonzero(gamma != 0.0)
-    return MaskSnapshot(gamma=gamma, active_indices=active, r_eff=int(active.size))

@@ -9,19 +9,20 @@ insertion point into one matrix and runs without a tape.
 from __future__ import annotations
 
 import zipfile
+from collections.abc import Iterator
 
 import numpy as np
 
 from .adapters import OAAdapter, oa_delta
 from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
-from .numerics import Node, Param, Tape, _finite, _matmul, _softmax_xent, as_matrix, matmul
+from .numerics import Node, Param, Tape, _finite, _matmul, _softmax_xent, as_matrix
 from .optim import Adam
 from .orthogonality import activated_basis
 from .tasks import TaskDataset
 
 CHECKPOINT_MAGIC = "OACL1"
-ADAPTER_PARAMS = ("W1", "W2", "g", "tau")  # checkpoint keys adapter/p{point}/t{t}/{name}
+ADAPTER_PARAMS = ("W1", "W2", "g", "tau")  # saved with "flags" under _adapter_key
 SEED_BACKBONE_INIT = 201
 SEED_PRETRAIN_SHUFFLE = 202
 
@@ -123,28 +124,39 @@ def forward(backbone: Backbone, stack: AdapterStack | None, x, tape: Tape | None
     return tape.linear(h, backbone.head)
 
 
-def predict_logits(backbone: Backbone, stack: AdapterStack | None, x) -> np.ndarray:
-    """forward(...).value without a tape: the same ops in the same order, except
-    that each layer adds the frozen tasks' deltas as one pre @ M.T. Bitwise equal
-    to forward when no task is frozen; otherwise only the summation order differs."""
-    x = as_matrix(x)
+def _numpy_forward(backbone: Backbone, stack: AdapterStack | None,
+                   x: np.ndarray) -> Iterator[np.ndarray]:
+    """forward(...) without a tape, for a 2-d float64 x, up to the head: yields
+    every tanh output, the embedding's first. The same ops in the same order,
+    except that each layer adds the frozen tasks' deltas as one pre @ M.T; so
+    bitwise equal to forward when no task is frozen, and otherwise only the
+    summation order differs. Serving keeps only the last output and
+    pretraining keeps them all; tanh runs in place on the layer's own fresh
+    array, so serving holds no more arrays at once than one layer needs."""
     if x.shape[1] != backbone.d_in:
         raise DimensionError(f"input width {x.shape[1]} does not match d_in={backbone.d_in}")
-    h = np.tanh(matmul(x, backbone.embed.value.T))
+    h = _matmul(x, backbone.embed.value.T)
+    yield np.tanh(h, out=h)
     for point, w in enumerate(backbone.hidden):
-        h = matmul(h, w.value.T)
+        h = _matmul(h, w.value.T)
         if stack is not None:
             pre = h
             if stack.folded[point] is not None:
-                h = _finite(h + matmul(pre, stack.folded[point].T), "add")
+                h = _finite(h + _matmul(pre, stack.folded[point].T), "add")
             if stack.active_task is not None:
                 a = stack.points[point][stack.active_task - 1]
-                z = matmul(pre, a.W1.value.T)
+                z = _matmul(pre, a.W1.value.T)
                 if a.mask_enabled:
                     z = _finite(z * a.gamma(), "mul")
-                h = _finite(h + matmul(z, a.W2.value.T), "add")
-        h = np.tanh(h)
-    return matmul(h, backbone.head.value.T)
+                h = _finite(h + _matmul(z, a.W2.value.T), "add")
+        yield np.tanh(h, out=h)
+
+
+def predict_logits(backbone: Backbone, stack: AdapterStack | None, x) -> np.ndarray:
+    """Logits for a batch x (n, d_in) through the composed model, without a tape."""
+    for h in _numpy_forward(backbone, stack, as_matrix(x)):
+        pass
+    return _matmul(h, backbone.head.value.T)
 
 
 def check_pretraining(steps: int, batch_size: int):
@@ -155,14 +167,12 @@ def check_pretraining(steps: int, batch_size: int):
 
 def _pretrain_step(backbone: Backbone, x: np.ndarray, labels: np.ndarray):
     """Add one batch's mean cross-entropy gradients into the grads of
-    backbone.params(), without a tape. The forward runs predict_logits' ops
-    with no stack and keeps each tanh output; the backward runs the numpy
-    expressions of the tape's records in its reverse order, so every gradient
-    has the bits that forward, Tape.cross_entropy and Tape.backward give. The
-    grads are views into the optimizer's flat buffer: written in place."""
-    hs = [np.tanh(_matmul(x, backbone.embed.value.T))]
-    for w in backbone.hidden:
-        hs.append(np.tanh(_matmul(hs[-1], w.value.T)))
+    backbone.params(), without a tape. The forward is _numpy_forward with no
+    stack; the backward runs the numpy expressions of the tape's records in
+    its reverse order, so every gradient has the bits that forward,
+    Tape.cross_entropy and Tape.backward give. The grads are views into the
+    optimizer's flat buffer: written in place."""
+    hs = list(_numpy_forward(backbone, None, x))
     head = backbone.head.value
     g = _softmax_xent(_matmul(hs[-1], head.T), labels)[1]
     g *= 1.0 / len(labels)
@@ -194,8 +204,6 @@ def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
 
     x_train, y_train = pretrain_data.train
     x_train = as_matrix(x_train)
-    if x_train.shape[1] != d_in:
-        raise DimensionError(f"input width {x_train.shape[1]} does not match d_in={d_in}")
     x_val, y_val = pretrain_data.val
     opt = Adam(backbone.params(), lr=lr)
     rng = np.random.default_rng([seed, SEED_PRETRAIN_SHUFFLE])
@@ -229,6 +237,11 @@ def _backbone_keys(L: int) -> list[str]:
     return ["backbone/embed", *(f"backbone/hidden{i}" for i in range(L)), "backbone/head"]
 
 
+def _adapter_key(point: int, t: int, name: str) -> str:
+    """Checkpoint key of task t's adapter array ``name`` at insertion point ``point``."""
+    return f"adapter/p{point}/t{t}/{name}"
+
+
 def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
     """Single self-describing binary file (npz) with magic string OACL1."""
     arrays = {
@@ -240,10 +253,9 @@ def save_checkpoint(path, backbone: Backbone, stack: AdapterStack):
         arrays[key] = p.value
     for point, adapters in enumerate(stack.points):
         for t, a in enumerate(adapters, start=1):
-            prefix = f"adapter/p{point}/t{t}"
             for name in ADAPTER_PARAMS:
-                arrays[f"{prefix}/{name}"] = getattr(a, name).value
-            arrays[f"{prefix}/flags"] = np.array(
+                arrays[_adapter_key(point, t, name)] = getattr(a, name).value
+            arrays[_adapter_key(point, t, "flags")] = np.array(
                 [int(a.frozen), int(a.mask_enabled)])
     with open(path, "wb") as f:
         np.savez(f, **arrays)
@@ -277,13 +289,13 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
             stack = AdapterStack(L)
             rng = np.random.default_rng(0)  # initial values are overwritten below
             for t in range(1, int(z["n_tasks"]) + 1):
-                frozen, mask_enabled = (bool(v) for v in z[f"adapter/p0/t{t}/flags"])
-                begin_task(stack, t, z[f"adapter/p0/t{t}/W1"].shape[0],
-                           float(z[f"adapter/p0/t{t}/tau"][0, 0]), d=d, rng=rng,
+                frozen, mask_enabled = (bool(v) for v in z[_adapter_key(0, t, "flags")])
+                begin_task(stack, t, z[_adapter_key(0, t, "W1")].shape[0],
+                           float(z[_adapter_key(0, t, "tau")][0, 0]), d=d, rng=rng,
                            mask_enabled=mask_enabled)
                 for point, a in enumerate(stack.trainable_adapters()):
                     for name in ADAPTER_PARAMS:
-                        _restore(getattr(a, name), z[f"adapter/p{point}/t{t}/{name}"])
+                        _restore(getattr(a, name), z[_adapter_key(point, t, name)])
                 if frozen:
                     end_task(stack)
     except (EOFError, IndexError, KeyError, ProtocolError, TypeError, ValueError,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import snapshot_mask
 from .errors import DataError, ProtocolError
 
 
@@ -89,11 +88,11 @@ def budget_report(stack) -> BudgetReport:
         for t, adapter in enumerate(adapters, start=1):
             if not adapter.frozen:
                 raise ProtocolError(f"task {t} adapter at layer {layer} is not frozen")
-            snap = snapshot_mask(adapter)
-            r_eff[(t, layer)] = snap.r_eff
-            all_reffs.append(snap.r_eff)
+            r = stack.bases[layer][t - 1].W2_tilde.shape[1]
+            r_eff[(t, layer)] = r
+            all_reffs.append(r)
             d, r_max = adapter.d, adapter.r_max
-            per_task_act[t] = per_task_act.get(t, 0) + snap.r_eff * 2 * d + r_max + 1
+            per_task_act[t] = per_task_act.get(t, 0) + r * 2 * d + r_max + 1
             per_task_alloc[t] = per_task_alloc.get(t, 0) + r_max * 2 * d + r_max + 1
     total_act = sum(per_task_act.values())
     total_alloc = sum(per_task_alloc.values())

@@ -79,11 +79,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _finite(a @ b, "matmul")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain matrix product with an explicit shape check."""
-    return _matmul(as_matrix(a), as_matrix(b))
-
-
 def _softmax_xent(z: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """Softmax cross-entropy of logits z (n, c) against class indices, after
     checking the labels: the log-sum-exp of each row (n, 1), and the gradient

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import OAAdapter
-from .errors import DimensionError, ProtocolError
+from .errors import ProtocolError
 from .numerics import Node, Tape
 
 
@@ -29,21 +29,10 @@ def activated_basis(adapter: OAAdapter, task_id: int) -> ActivatedBasis:
     return ActivatedBasis(task_id=task_id, W2_tilde=w2t)
 
 
-def orth_loss_pair(w2_t: np.ndarray, basis: ActivatedBasis) -> float:
-    """Sum of squared inner products between every current up-projection
-    column and every activated historical column: ||W2_t^T W2~_s||_F^2."""
-    w2_t = np.asarray(w2_t, dtype=np.float64)
-    if w2_t.shape[0] != basis.W2_tilde.shape[0]:
-        raise DimensionError(
-            f"row dimension mismatch: {w2_t.shape} vs {basis.W2_tilde.shape}")
-    m = w2_t.T @ basis.W2_tilde
-    return float((m * m).sum())
-
-
 def orth_loss_total(tape: Tape, stack, t: int) -> Node:
-    """Tape-recorded sum of pair losses over all insertion points and all
-    historical tasks s < t. Gradients flow into the current W2 only (the
-    historical bases enter as constants)."""
+    """Tape-recorded sum of the pair losses ||W2_t^T W2~_s||_F^2 over all
+    insertion points and all historical tasks s < t. Gradients flow into the
+    current W2 only (the historical bases enter as constants)."""
     total = None
     for point, adapters in enumerate(stack.points):
         current = adapters[t - 1]

@@ -9,6 +9,7 @@ task defined over the same classes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class TaskDataset:
     task_id: int
     train: Split
     val: Split
-    test: Split
+    test: Split | None = None  # the base dataset has no test split
 
 
 @dataclass
@@ -109,6 +110,14 @@ def _sample_split(rng: np.random.Generator, means: np.ndarray,
     return x[perm], y[perm]
 
 
+def _sample_splits(seed: int, t: int, means: np.ndarray, sizes) -> Iterator[Split]:
+    """One split per entry of ``sizes`` (rows per class), drawn as the caller
+    asks for it; split k of task t draws from its own stream
+    [seed, SEED_SPLIT, t, k]."""
+    for k, n in enumerate(sizes):
+        yield _sample_split(np.random.default_rng([seed, SEED_SPLIT, t, k]), means, n)
+
+
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-uniform orthogonal matrix via QR with sign-corrected diagonal."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -116,15 +125,13 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def gen_base(seed: int, C: int, d_in: int, n_train_per_class: int,
-             n_val_per_class: int = 50, n_test_per_class: int = 100) -> TaskDataset:
-    """Base-distribution dataset, used for backbone pretraining."""
-    check_split_sizes(n_train_per_class, n_val_per_class, n_test_per_class)
-    means = _cluster_means(seed, C, d_in)
-    splits = []
-    for k, n in enumerate((n_train_per_class, n_val_per_class, n_test_per_class)):
-        rng = np.random.default_rng([seed, SEED_SPLIT, 0, k])
-        splits.append(_sample_split(rng, means, n))
-    return TaskDataset(task_id=0, train=splits[0], val=splits[1], test=splits[2])
+             n_val_per_class: int = 50) -> TaskDataset:
+    """Base-distribution dataset, used for backbone pretraining: a training
+    and a validation split, no test split (task 0 of the split streams)."""
+    check_split_sizes(n_train_per_class, n_val_per_class)
+    train, val = _sample_splits(seed, 0, _cluster_means(seed, C, d_in),
+                                (n_train_per_class, n_val_per_class))
+    return TaskDataset(task_id=0, train=train, val=val)
 
 
 def gen_task_stream(seed: int, T: int, C: int, d_in: int,
@@ -146,14 +153,13 @@ def gen_task_stream(seed: int, T: int, C: int, d_in: int,
         if shift == "rotation+relabel" and t > 1:
             relabel = np.random.default_rng([seed, SEED_RELABEL, t]).permutation(C)
         splits = []
-        for k, n in enumerate((n_train_per_class, n_val_per_class, n_test_per_class)):
-            rng = np.random.default_rng([seed, SEED_SPLIT, t, k])
-            x, y = _sample_split(rng, means, n)
+        for x, y in _sample_splits(seed, t, means,
+                                   (n_train_per_class, n_val_per_class, n_test_per_class)):
             x = x @ q.T
             if relabel is not None:
                 y = relabel[y]
             splits.append((x, y))
-        tasks.append(TaskDataset(task_id=t, train=splits[0], val=splits[1], test=splits[2]))
+        tasks.append(TaskDataset(t, *splits))
     return TaskStream(tasks=tasks, order_id="-".join(str(t) for t in range(1, T + 1)))
 
 

@@ -305,7 +305,7 @@ def overflowing(data: TaskDataset, seed: int) -> TaskDataset:
     assert np.abs(w[heaviest]).sum() > 1.01
     row = np.sign(w[heaviest]) * np.finfo(np.float64).max
     y = data.train[1]
-    return TaskDataset(0, (np.tile(row, (len(y), 1)), y), data.val, data.test)
+    return TaskDataset(0, (np.tile(row, (len(y), 1)), y), data.val)
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +401,7 @@ class TestPretraining:
 
     def test_wrong_input_width_rejected(self, base_data):
         x, y = base_data.train
-        wide = TaskDataset(0, (np.hstack([x, x]), y), base_data.val, base_data.test)
+        wide = TaskDataset(0, (np.hstack([x, x]), y), base_data.val)
         with pytest.raises(DimensionError):
             build_and_pretrain(0, D_IN, D, L, C, wide, steps=5)
 

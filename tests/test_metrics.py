@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacl.backbone import AdapterStack, begin_task, end_task
+from oacl.backbone import (AdapterStack, Backbone, begin_task, end_task, load_checkpoint,
+                           save_checkpoint)
 from oacl.errors import DataError, ProtocolError
 from oacl.metrics import (AccuracyMatrix, accuracy, avg_final_accuracy,
                           budget_report, forgetting_per_task)
@@ -132,3 +133,9 @@ class TestBudgetReport:
     def test_full_activation_saves_nothing(self):
         stack = frozen_stack([3, 3], d=4, r_max=3)
         assert budget_report(stack).params_saved_fraction == 0.0
+
+    def test_loaded_checkpoint_gives_the_saved_report(self, tmp_path):
+        stack = frozen_stack([2, 0, 3], d=4, r_max=3)
+        path = tmp_path / "checkpoint.oacl.npz"
+        save_checkpoint(path, Backbone(4, 4, 1, 2, seed=0), stack)
+        assert budget_report(load_checkpoint(path)[1]) == budget_report(stack)

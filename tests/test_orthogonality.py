@@ -7,8 +7,7 @@ from oacl.adapters import OAAdapter
 from oacl.backbone import AdapterStack, begin_task, end_task
 from oacl.errors import DimensionError, ProtocolError
 from oacl.numerics import Tape, zero_grads
-from oacl.orthogonality import (ActivatedBasis, activated_basis,
-                                orth_loss_pair, orth_loss_total,
+from oacl.orthogonality import (ActivatedBasis, activated_basis, orth_loss_total,
                                 overlap_diagnostic)
 
 
@@ -50,15 +49,29 @@ class TestActivatedBasis:
         assert np.allclose(basis.W2_tilde[:, 1], 2.0 * w2[:, 2], atol=1e-14)
 
 
+def pair_loss(w2_t, basis: ActivatedBasis) -> float:
+    """orth_loss_total of a one-point stack whose frozen task has ``basis`` and
+    whose open task has the up-projection ``w2_t``: ||W2_t^T W2~_s||_F^2."""
+    d, r = np.shape(w2_t)
+    rng = np.random.default_rng(0)
+    stack = AdapterStack(1)
+    begin_task(stack, 1, r, 0.3, d=d, rng=rng)
+    end_task(stack)
+    stack.bases[0][0] = basis
+    begin_task(stack, 2, r, 0.3, d=d, rng=rng)
+    stack.points[0][1].W2.value[...] = w2_t
+    return float(orth_loss_total(Tape(), stack, 2).value[0, 0])
+
+
 class TestOrthLossPair:
     def test_orthogonal_columns_give_zero(self):
         basis = ActivatedBasis(1, np.array([[1.0], [0.0], [0.0]]))
         w2_t = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert orth_loss_pair(w2_t, basis) == 0.0
+        assert pair_loss(w2_t, basis) == 0.0
 
     def test_aligned_unit_columns(self):
         e1 = np.array([[1.0], [0.0]])
-        assert orth_loss_pair(e1, ActivatedBasis(1, e1)) == pytest.approx(1.0)
+        assert pair_loss(e1, ActivatedBasis(1, e1)) == pytest.approx(1.0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(12)
@@ -66,12 +79,12 @@ class TestOrthLossPair:
         basis = ActivatedBasis(1, rng.standard_normal((3, 2)))
         brute = sum((w2_t[:, i] @ basis.W2_tilde[:, j]) ** 2
                     for i in range(2) for j in range(2))
-        got = orth_loss_pair(w2_t, basis)
+        got = pair_loss(w2_t, basis)
         assert abs(got - brute) / abs(brute) < 1e-12
 
     def test_row_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            orth_loss_pair(np.ones((3, 1)), ActivatedBasis(1, np.ones((4, 1))))
+            pair_loss(np.ones((3, 1)), ActivatedBasis(1, np.ones((4, 1))))
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -80,8 +93,8 @@ class TestOrthLossPair:
         w2_t = rng.standard_normal((4, 2))
         cols = rng.standard_normal((4, 3))
         c = float(rng.uniform(0.1, 3.0))
-        base = orth_loss_pair(w2_t, ActivatedBasis(1, cols))
-        scaled = orth_loss_pair(w2_t, ActivatedBasis(1, c * cols))
+        base = pair_loss(w2_t, ActivatedBasis(1, cols))
+        scaled = pair_loss(w2_t, ActivatedBasis(1, c * cols))
         assert scaled == pytest.approx(c * c * base, rel=1e-10)
 
 
@@ -122,7 +135,7 @@ class TestOrthLossTotal:
         for point in range(2):
             cur = stack.points[point][2].W2.value
             for basis in stack.bases[point]:
-                expected += orth_loss_pair(cur, basis)
+                expected += float(((cur.T @ basis.W2_tilde) ** 2).sum())
         assert total == pytest.approx(expected, rel=1e-12)
 
     def test_gradients_flow_only_into_current_task(self):

@@ -36,6 +36,15 @@ class TestClusterGeometry:
         with pytest.raises(GenerationError):
             gen_base(0, 8, 4, 10)  # d_in < C
 
+    def test_base_has_no_test_split_and_keeps_its_streams(self):
+        base = gen_base(4, 8, 32, 30, n_val_per_class=5)
+        assert base.test is None
+        means = _cluster_means(4, 8, 32)
+        for k, (split, n) in enumerate(((base.train, 30), (base.val, 5))):
+            x, y = _sample_split(np.random.default_rng([4, SEED_SPLIT, 0, k]), means, n)
+            assert split[0].tobytes() == x.tobytes()
+            assert split[1].tobytes() == y.tobytes()
+
     def test_noise_scale(self):
         x, y = gen_base(1, 8, 32, 200).train
         resid = np.concatenate([x[y == c] - x[y == c].mean(axis=0)

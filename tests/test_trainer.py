@@ -7,7 +7,6 @@ from oacl.backbone import (ADAPTER_PARAMS, AdapterStack, begin_task, build_and_p
 from oacl.errors import ConfigError, ProtocolError
 from oacl.metrics import avg_final_accuracy
 from oacl.numerics import Node, Tape
-from oacl.orthogonality import orth_loss_pair
 from oacl.trainer import TrainConfig, run_sequence, total_loss, train_task
 from oacl.tasks import gen_base, gen_task_stream
 
@@ -121,7 +120,7 @@ class TestTrainableParams:
 
 class TestTotalLoss:
     """total_loss against oracles: a fresh cross-entropy of the same logits,
-    orth_loss_pair over the stack's bases and soft_threshold of each gate."""
+    ||W2_t^T W2~_s||_F^2 over the stack's bases and soft_threshold of each gate."""
 
     def run_loss(self, backbone, cfg, t_data, stack, t):
         tape = Tape()
@@ -135,7 +134,7 @@ class TestTotalLoss:
         stack = two_task_stack(cfg)
         _, loss, ce = self.run_loss(backbone, cfg, stream.tasks[1], stack, 2)
         adapters = stack.trainable_adapters()
-        orth = sum(orth_loss_pair(a.W2.value, basis)
+        orth = sum(float(((a.W2.value.T @ basis.W2_tilde) ** 2).sum())
                    for a, bases in zip(adapters, stack.bases) for basis in bases)
         sparsity = sum(float((soft_threshold(a.g.value[0], float(a.tau.value[0, 0])) ** 2).sum())
                        for a in adapters)
