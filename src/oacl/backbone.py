@@ -98,7 +98,7 @@ def end_task(stack: AdapterStack) -> AdapterStack:
     for point, adapters in enumerate(stack.points):
         a = adapters[t - 1]
         a.freeze()
-        stack.bases[point].append(activated_basis(a, t))
+        stack.bases[point].append(activated_basis(a))
         term = (a.W2.value * a.frozen_gamma.value) @ a.W1.value
         m = stack.folded[point]
         stack.folded[point] = term if m is None else m + term

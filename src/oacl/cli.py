@@ -171,6 +171,13 @@ def _make_dir(path: Path):
         raise ConfigError(f"cannot create output directory {path}: {e}") from e
 
 
+def _write_csv(path: Path, header: list[str], rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _pretrain(cfg: ExperimentConfig) -> Backbone:
     """The frozen backbone a run of ``cfg`` starts from. It depends only on the
     seed and the backbone section."""
@@ -204,24 +211,15 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, backbone: Backbone | None 
     (out_dir / "config_snapshot.yaml").write_text(
         yaml.safe_dump(_config_snapshot(cfg), sort_keys=True))
 
-    T = result.matrix.T
-    with open(out_dir / "accuracy_matrix.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["task"] + [f"after_task_{j}" for j in range(1, T + 1)])
-        for i in range(T):
-            w.writerow([i + 1] + [repr(float(v)) for v in result.matrix.a[i]])
-
-    with open(out_dir / "curves.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "task_id", "accuracy"])
-        for step, task_id, acc in result.curves:
-            w.writerow([step, task_id, repr(float(acc))])
-
+    _write_csv(out_dir / "accuracy_matrix.csv",
+               ["task"] + [f"after_task_{j}" for j in range(1, result.matrix.T + 1)],
+               ([i] + [repr(float(v)) for v in row]
+                for i, row in enumerate(result.matrix.a, start=1)))
+    _write_csv(out_dir / "curves.csv", ["step", "task_id", "accuracy"],
+               ([step, task_id, repr(float(acc))] for step, task_id, acc in result.curves))
     budget = budget_report(result.stack)
-    with open(out_dir / "dims.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["task", "layer", "r_eff"])
-        w.writerows([t, layer, r] for (t, layer), r in sorted(budget.r_eff.items()))
+    _write_csv(out_dir / "dims.csv", ["task", "layer", "r_eff"],
+               ([t, layer, r] for (t, layer), r in sorted(budget.r_eff.items())))
     overlap = stack_overlap_summary(result.stack)
     summary = {
         "avg_final_accuracy": avg_final_accuracy(result.matrix),
@@ -270,6 +268,7 @@ def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> in
     if len(grid.variants) < 2:
         raise ConfigError("compare needs at least two variants")
     out_dir = Path(out_override) if out_override else Path(cfg.out_dir)
+    _make_dir(out_dir)  # before any pretraining
 
     rows = []
     failures = 0
@@ -299,13 +298,9 @@ def cmd_compare(config_path, variants=None, seeds=None, out_override=None) -> in
             repr(float(np.mean(saved))) if saved else "",
         ])
 
-    _make_dir(out_dir)
-    with open(out_dir / "compare.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant", "n_seeds", "mean_avg_final_accuracy",
-                    "std_avg_final_accuracy", "mean_avg_final_budget",
-                    "mean_params_saved_fraction"])
-        w.writerows(rows)
+    _write_csv(out_dir / "compare.csv",
+               ["variant", "n_seeds", "mean_avg_final_accuracy", "std_avg_final_accuracy",
+                "mean_avg_final_budget", "mean_params_saved_fraction"], rows)
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 

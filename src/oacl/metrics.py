@@ -18,16 +18,19 @@ class AccuracyMatrix:
     they are stored but excluded from the summary metrics.
     """
 
-    T: int
     a: np.ndarray
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
-        if self.a.shape != (self.T, self.T):
-            raise DataError(f"accuracy grid shape {self.a.shape} != ({self.T}, {self.T})")
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
+            raise DataError(f"accuracy grid shape {self.a.shape} is not square")
         defined = self.a[~np.isnan(self.a)]
         if defined.size and (defined.min() < 0.0 or defined.max() > 1.0):
             raise DataError("accuracies must lie in [0, 1]")
+
+    @property
+    def T(self) -> int:
+        return self.a.shape[0]
 
     def _require_final_column(self):
         if np.isnan(self.a[:, self.T - 1]).any():
@@ -65,7 +68,6 @@ def forgetting_per_task(m: AccuracyMatrix) -> np.ndarray:
 class BudgetReport:
     r_eff: dict  # (task, layer) -> r_eff
     per_task_activated: dict  # task -> activated parameter count
-    per_task_allocated: dict
     total_activated: int
     total_allocated: int
     avg_final_budget: float
@@ -82,7 +84,7 @@ def budget_report(stack) -> BudgetReport:
         raise ProtocolError("budget report requires all tasks frozen")
     r_eff: dict = {}
     per_task_act: dict = {}
-    per_task_alloc: dict = {}
+    total_alloc = 0
     all_reffs = []
     for layer, adapters in enumerate(stack.points):
         for t, adapter in enumerate(adapters, start=1):
@@ -93,14 +95,12 @@ def budget_report(stack) -> BudgetReport:
             all_reffs.append(r)
             d, r_max = adapter.d, adapter.r_max
             per_task_act[t] = per_task_act.get(t, 0) + r * 2 * d + r_max + 1
-            per_task_alloc[t] = per_task_alloc.get(t, 0) + r_max * 2 * d + r_max + 1
+            total_alloc += r_max * 2 * d + r_max + 1
     total_act = sum(per_task_act.values())
-    total_alloc = sum(per_task_alloc.values())
     saved = 1.0 - total_act / total_alloc if total_alloc else 0.0
     return BudgetReport(
         r_eff=r_eff,
         per_task_activated=per_task_act,
-        per_task_allocated=per_task_alloc,
         total_activated=total_act,
         total_allocated=total_alloc,
         avg_final_budget=float(np.mean(all_reffs)) if all_reffs else 0.0,

@@ -288,6 +288,8 @@ class Tape:
 
 # -- gradient checking ------------------------------------------------
 
+GRADCHECK_COORDS = 8  # coordinates compared per param; a smaller param is checked whole
+
 
 @dataclass
 class GradCheckResult:
@@ -303,7 +305,6 @@ def check_gradients(
     model_closure: Callable[[], tuple[Tape, Node]],
     params: Sequence[Param],
     eps: float,
-    max_coords_per_param: int = 8,
     rng: np.random.Generator | None = None,
 ) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
@@ -327,10 +328,10 @@ def check_gradients(
     for p in params:
         flat = p.value.reshape(-1)
         n = flat.size
-        if n <= max_coords_per_param:
+        if n <= GRADCHECK_COORDS:
             coords = np.arange(n)
         else:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+            coords = rng.choice(n, size=GRADCHECK_COORDS, replace=False)
         for i in coords:
             orig = flat[i]
             flat[i] = orig + eps

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import NumericalError
 from .numerics import Param, zero_grads
 
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+
 
 def _guard_finite(params: Sequence[Param]):
     for i, p in enumerate(params):
@@ -69,25 +72,22 @@ class SGDMomentum(_FlatOptimizer):
 
 
 class Adam(_FlatOptimizer):
-    def __init__(self, params: Sequence[Param], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: Sequence[Param], lr: float):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(self.flat.value)
         self.v = np.zeros_like(self.flat.value)
 
     def _update(self):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         m, v, grad, s1, s2 = self.m, self.v, self.flat.grad, self._s1, self._s2
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s1)  # (1 - beta1) * grad
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)  # (1 - beta1) * grad
         m += s1
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=s1)  # (1 - beta2) * grad * grad
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=s1)  # (1 - beta2) * grad * grad
         s1 *= grad
         v += s1
         # lr * (m / b1t) / (sqrt(v / b2t) + eps)
@@ -95,7 +95,7 @@ class Adam(_FlatOptimizer):
         s1 *= self.lr
         np.divide(v, b2t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += ADAM_EPS
         s1 /= s2
         self.flat.value -= s1
 

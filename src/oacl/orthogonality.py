@@ -16,17 +16,16 @@ from .numerics import Node, Tape
 class ActivatedBasis:
     """Columns gamma_j * W2[:, j] of a frozen adapter, active j only."""
 
-    task_id: int
     W2_tilde: np.ndarray  # (d, r_eff)
 
 
-def activated_basis(adapter: OAAdapter, task_id: int) -> ActivatedBasis:
+def activated_basis(adapter: OAAdapter) -> ActivatedBasis:
     if adapter.frozen_gamma is None:
         raise ProtocolError("activated basis may only be extracted from a frozen adapter")
     gamma = adapter.frozen_gamma.value[0]
     active = np.flatnonzero(gamma != 0.0)
     w2t = adapter.W2.value[:, active] * gamma[active]
-    return ActivatedBasis(task_id=task_id, W2_tilde=w2t)
+    return ActivatedBasis(w2t)
 
 
 def orth_loss_total(tape: Tape, stack, t: int) -> Node:
@@ -58,15 +57,16 @@ def overlap_diagnostic(w2_t: np.ndarray, basis: ActivatedBasis) -> float:
 
 def stack_overlap_summary(stack) -> dict:
     """Overlap diagnostics between every (historical basis s, later task t)
-    pair at every insertion point, computed on the final frozen stack."""
+    pair at every insertion point, computed on the final frozen stack. Task s's
+    basis is the s-th of stack.bases[point]: end_task appends them in task order."""
     pairs = []
     for point, adapters in enumerate(stack.points):
         for t in range(2, len(adapters) + 1):
             w2_t = adapters[t - 1].W2.value
-            for basis in stack.bases[point][: t - 1]:
+            for s, basis in enumerate(stack.bases[point][: t - 1], start=1):
                 pairs.append({
                     "point": point,
-                    "task_s": basis.task_id,
+                    "task_s": s,
                     "task_t": t,
                     "overlap": overlap_diagnostic(w2_t, basis),
                 })

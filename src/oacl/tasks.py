@@ -23,7 +23,9 @@ SEED_RELABEL = 103
 SEED_SPLIT = 104
 
 NOISE_SIGMA = 0.3
+MAX_MEAN_COS = 0.5  # cos 60 degrees: the widest pairwise cosine between class means
 MAX_MEAN_TRIES = 1000
+BASE_VAL_PER_CLASS = 50  # validation rows per class of the base dataset
 
 
 Split = tuple[np.ndarray, np.ndarray]  # (X: (n, d_in) float64, y: (n,) int)
@@ -40,7 +42,11 @@ class TaskDataset:
 @dataclass
 class TaskStream:
     tasks: list[TaskDataset]
-    order_id: str
+
+    @property
+    def order_id(self) -> str:
+        """The task ids in run order, joined by '-'."""
+        return "-".join(str(task.task_id) for task in self.tasks)
 
 
 SHIFTS = ("rotation", "rotation+relabel")
@@ -82,7 +88,7 @@ def check_permutation(permutation, T: int):
         raise ConfigError(f"{permutation!r} is not a permutation of 1..{T}")
 
 
-def _cluster_means(seed: int, C: int, d_in: int, max_cos: float = 0.5) -> np.ndarray:
+def _cluster_means(seed: int, C: int, d_in: int) -> np.ndarray:
     """Unit-norm mean directions with pairwise angle >= 60 degrees."""
     check_classes(C, d_in)
     rng = np.random.default_rng([seed, SEED_MEANS])
@@ -91,7 +97,7 @@ def _cluster_means(seed: int, C: int, d_in: int, max_cos: float = 0.5) -> np.nda
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         gram = m @ m.T
         np.fill_diagonal(gram, 0.0)
-        if np.abs(gram).max() <= max_cos:
+        if np.abs(gram).max() <= MAX_MEAN_COS:
             return m
     raise GenerationError(
         f"could not separate {C} means by >= 60 degrees in {d_in} dimensions")
@@ -124,13 +130,13 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_base(seed: int, C: int, d_in: int, n_train_per_class: int,
-             n_val_per_class: int = 50) -> TaskDataset:
+def gen_base(seed: int, C: int, d_in: int, n_train_per_class: int) -> TaskDataset:
     """Base-distribution dataset, used for backbone pretraining: a training
-    and a validation split, no test split (task 0 of the split streams)."""
-    check_split_sizes(n_train_per_class, n_val_per_class)
+    split and a BASE_VAL_PER_CLASS validation split, no test split (task 0 of
+    the split streams)."""
+    check_split_sizes(n_train_per_class)
     train, val = _sample_splits(seed, 0, _cluster_means(seed, C, d_in),
-                                (n_train_per_class, n_val_per_class))
+                                (n_train_per_class, BASE_VAL_PER_CLASS))
     return TaskDataset(task_id=0, train=train, val=val)
 
 
@@ -160,11 +166,10 @@ def gen_task_stream(seed: int, T: int, C: int, d_in: int,
                 y = relabel[y]
             splits.append((x, y))
         tasks.append(TaskDataset(t, *splits))
-    return TaskStream(tasks=tasks, order_id="-".join(str(t) for t in range(1, T + 1)))
+    return TaskStream(tasks)
 
 
 def reorder(stream: TaskStream, permutation) -> TaskStream:
     """Reorder the stream by a 1-based permutation of [1..T] (check_permutation)."""
     check_permutation(permutation, len(stream.tasks))
-    return TaskStream(tasks=[stream.tasks[p - 1] for p in permutation],
-                      order_id="-".join(str(p) for p in permutation))
+    return TaskStream([stream.tasks[p - 1] for p in permutation])

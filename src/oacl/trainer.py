@@ -32,6 +32,10 @@ SEED_TASK_SHUFFLE = 302
 
 EVAL_INTERVAL = 25
 
+# Each field that must hold one of a fixed set of values, and that set.
+CHOICES = {"variant": VARIANTS, "threshold_mode": THRESHOLD_MODES, "optimizer": OPTIMIZERS,
+           "tau_init": TAU_GRID, "lambda_orth": LAMBDA_ORTH_GRID, "lambda_l2": LAMBDA_L2_GRID}
+
 
 @dataclass
 class TrainConfig:
@@ -47,20 +51,10 @@ class TrainConfig:
     epochs: int = 20
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ConfigError(
-                f"threshold_mode must be one of {THRESHOLD_MODES}, got {self.threshold_mode!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.tau_init not in TAU_GRID:
-            raise ConfigError(f"tau_init must come from {TAU_GRID}, got {self.tau_init}")
-        if self.lambda_orth not in LAMBDA_ORTH_GRID:
-            raise ConfigError(
-                f"lambda_orth must come from {LAMBDA_ORTH_GRID}, got {self.lambda_orth}")
-        if self.lambda_l2 not in LAMBDA_L2_GRID:
-            raise ConfigError(f"lambda_l2 must come from {LAMBDA_L2_GRID}, got {self.lambda_l2}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.r_max < 1:
             raise ConfigError(f"r_max must be >= 1, got {self.r_max}")
         if not 0 < self.lr < np.inf or self.batch_size < 1 or self.epochs < 0:
@@ -94,9 +88,10 @@ def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack
 
 
 def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainConfig,
-               seed: int, eval_hook=None, step_offset: int = 0) -> int:
+               seed: int, eval_hook=None) -> int:
     """Optimize the open task's adapters on its data, then freeze the task.
-    Returns the number of optimizer steps taken."""
+    Calls eval_hook(step) every EVAL_INTERVAL steps, counting this task's
+    steps only. Returns the number of optimizer steps taken."""
     t = stack.active_task
     if t is None:
         raise ProtocolError("train_task requires an open task (call begin_task first)")
@@ -125,7 +120,7 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
                 adapter.clamp_tau()
             step += 1
             if eval_hook is not None and step % EVAL_INTERVAL == 0:
-                eval_hook(step_offset + step)
+                eval_hook(step)
 
     end_task(stack)
     return step
@@ -157,14 +152,14 @@ def run_sequence(backbone: Backbone, stream: TaskStream, config: TrainConfig,
                 for x, y in (task.test for task in stream.tasks)]
 
     def evaluate_all(step: int):
-        curves.extend((step, i, acc) for i, acc in enumerate(test_accuracies(), start=1))
+        # a curve's step counts the earlier tasks' steps too
+        curves.extend((done + step, i, acc) for i, acc in enumerate(test_accuracies(), start=1))
 
-    step_offset = 0
+    done = 0  # optimizer steps of the tasks trained so far
     for pos, task in enumerate(stream.tasks, start=1):
         rng = np.random.default_rng([seed, SEED_ADAPTER_INIT, pos])
         begin_task(stack, pos, config.r_max, config.tau_init,
                    d=backbone.d, rng=rng, mask_enabled=config.mask_enabled)
-        step_offset += train_task(backbone, stack, task, config, seed,
-                                  eval_hook=evaluate_all, step_offset=step_offset)
+        done += train_task(backbone, stack, task, config, seed, eval_hook=evaluate_all)
         grid[:, pos - 1] = test_accuracies()
-    return RunResult(matrix=AccuracyMatrix(T=T, a=grid), curves=curves, stack=stack)
+    return RunResult(matrix=AccuracyMatrix(grid), curves=curves, stack=stack)

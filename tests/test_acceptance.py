@@ -326,7 +326,7 @@ def test_10_metric_oracles(capsys):
             rng = np.random.default_rng([940, trial])
             T = int(rng.integers(1, 7))
             a = rng.uniform(0, 1, size=(T, T))
-            m = AccuracyMatrix(T=T, a=a)
+            m = AccuracyMatrix(a)
 
             brute_avg = sum(a[i][T - 1] for i in range(T)) / T
             assert abs(avg_final_accuracy(m) - brute_avg) < 1e-12

@@ -406,6 +406,16 @@ class TestExitCodes:
                      "--variants", "oa_adapter", "fixed", "--seeds", "0"]) == EXIT_CONFIG
         assert blocker.is_file()
 
+    def test_compare_checks_its_output_before_pretraining(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_and_pretrain", lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["compare", "--config", str(write_config(tmp_path)),
+                     "--out", str(blocker / "sub"),
+                     "--variants", "oa_adapter", "fixed", "--seeds", "0"]) == EXIT_CONFIG
+        assert calls == []
+
 
 # A run small enough for hundreds of examples: no pretraining, one task.
 TINY = {

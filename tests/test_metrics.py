@@ -12,13 +12,13 @@ from oacl.metrics import (AccuracyMatrix, accuracy, avg_final_accuracy,
 
 def matrix(rows):
     a = np.array(rows, dtype=float)
-    return AccuracyMatrix(T=a.shape[0], a=a)
+    return AccuracyMatrix(a)
 
 
 class TestAccuracyMatrix:
     def test_shape_checked(self):
         with pytest.raises(DataError):
-            AccuracyMatrix(T=3, a=np.zeros((2, 3)))
+            AccuracyMatrix(np.zeros((2, 3)))
 
     def test_range_checked(self):
         with pytest.raises(DataError):
@@ -90,7 +90,7 @@ class TestForgetting:
         T = int(rng.integers(1, 6))
         a = rng.uniform(0, 1, size=(T, T))
         a[np.tril_indices(T, k=-1)] = np.nan
-        f = forgetting_per_task(AccuracyMatrix(T=T, a=a))
+        f = forgetting_per_task(AccuracyMatrix(a))
         assert (f >= -1e-15).all()
         assert f[T - 1] == 0.0  # last task is evaluated at its own peak
 
@@ -117,7 +117,6 @@ class TestBudgetReport:
         assert rep.r_eff == {(1, 0): 2, (2, 0): 3}
         # activated = r_eff * 2d + r_max + 1
         assert rep.per_task_activated == {1: 2 * 8 + 4, 2: 3 * 8 + 4}
-        assert rep.per_task_allocated == {1: 3 * 8 + 4, 2: 3 * 8 + 4}
         assert rep.total_activated == 20 + 28
         assert rep.total_allocated == 56
         assert rep.avg_final_budget == pytest.approx(2.5)

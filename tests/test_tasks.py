@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oacl.errors import ConfigError, DataError, GenerationError
-from oacl.tasks import (NOISE_SIGMA, SEED_RELABEL, SEED_ROTATION, SEED_SPLIT,
-                        _cluster_means, _sample_split, gen_base, gen_task_stream,
+from oacl.tasks import (BASE_VAL_PER_CLASS, NOISE_SIGMA, SEED_RELABEL, SEED_ROTATION,
+                        SEED_SPLIT, _cluster_means, _sample_split, gen_base, gen_task_stream,
                         random_orthogonal, reorder)
 
 
@@ -37,10 +37,10 @@ class TestClusterGeometry:
             gen_base(0, 8, 4, 10)  # d_in < C
 
     def test_base_has_no_test_split_and_keeps_its_streams(self):
-        base = gen_base(4, 8, 32, 30, n_val_per_class=5)
+        base = gen_base(4, 8, 32, 30)
         assert base.test is None
         means = _cluster_means(4, 8, 32)
-        for k, (split, n) in enumerate(((base.train, 30), (base.val, 5))):
+        for k, (split, n) in enumerate(((base.train, 30), (base.val, BASE_VAL_PER_CLASS))):
             x, y = _sample_split(np.random.default_rng([4, SEED_SPLIT, 0, k]), means, n)
             assert split[0].tobytes() == x.tobytes()
             assert split[1].tobytes() == y.tobytes()
@@ -145,6 +145,12 @@ class TestReorder:
         r = reorder(stream, [3, 1, 4, 2])
         assert [t.task_id for t in r.tasks] == [3, 1, 4, 2]
         assert r.order_id == "3-1-4-2"
+
+    def test_order_id_follows_the_tasks_through_two_reorders(self):
+        stream = gen_task_stream(0, 4, 8, 32, n_train_per_class=10)
+        r = reorder(reorder(stream, [3, 1, 4, 2]), [2, 1, 3, 4])
+        assert [t.task_id for t in r.tasks] == [1, 3, 4, 2]
+        assert r.order_id == "1-3-4-2"
 
     def test_invalid_permutation(self):
         stream = gen_task_stream(0, 3, 8, 32, n_train_per_class=10)

@@ -239,10 +239,12 @@ class TestRunSequence:
         assert res1.curves == res2.curves
 
     def test_curves_cover_all_tasks_at_interval(self, backbone, stream):
-        cfg = small_config(epochs=2)
+        # 28 steps per task: one curve point in each task, the second task's
+        # counted on from the first task's 28 steps
+        cfg = small_config(epochs=7)
         res = run_sequence(backbone, stream, cfg, 0)
         steps = sorted({s for s, _, _ in res.curves})
-        assert all(s % 25 == 0 for s in steps)
+        assert steps == [25, 28 + 25]
         for s in steps:
             assert sorted(t for ss, t, _ in res.curves if ss == s) == [1, 2]
 
