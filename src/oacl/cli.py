@@ -194,6 +194,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, backbone: Backbone | None 
     returns, run the task sequence, and persist all artifacts. The config
     checked its values when it was built, so no bad value reaches here."""
     started = time.perf_counter()
+    _make_dir(out_dir)  # before any data is generated
     bb, st = cfg.backbone, cfg.stream
     stream = gen_task_stream(
         cfg.seed, st.tasks, bb.classes, bb.d_in,
@@ -202,7 +203,6 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, backbone: Backbone | None 
     if st.order is not None:
         stream = reorder(stream, st.order)
 
-    _make_dir(out_dir)
     if backbone is None:
         backbone = _pretrain(cfg)
     result = run_sequence(backbone, stream, cfg.train, cfg.seed)

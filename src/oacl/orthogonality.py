@@ -9,7 +9,7 @@ import numpy as np
 
 from .adapters import OAAdapter
 from .errors import ProtocolError
-from .numerics import Node, Tape
+from .numerics import Node, Tape, _finite, _matmul
 
 
 @dataclass
@@ -42,6 +42,31 @@ def orth_loss_total(tape: Tape, stack, t: int) -> Node:
             term = tape.sum_sq(tape.matmul(w2_t, tape.constant(basis.W2_tilde)))
             total = term if total is None else tape.add(total, term)
     return total if total is not None else tape.constant([[0.0]])
+
+
+def orth_loss_grad(stack, t: int, w: float) -> float:
+    """orth_loss_total without a tape: add the gradient of w * orth_loss_total
+    into each open W2's .grad and return orth_loss_total's value. The tape's
+    expressions, summed in its record order for the value and in its reverse
+    record order for each W2's gradient, so both have the tape's bits. A
+    weighted value that is not finite raises before any gradient is added."""
+    terms = [(adapters[t - 1].W2,
+              [(b.W2_tilde, _matmul(adapters[t - 1].W2.value.T, b.W2_tilde))
+               for b in stack.bases[point][: t - 1] if b.W2_tilde.shape[1] != 0])
+             for point, adapters in enumerate(stack.points)]
+    total = 0.0
+    for _, pairs in terms:
+        for _, p in pairs:
+            total = total + float((p * p).sum())
+    _finite(total * w, "the orthogonality penalty")
+    for w2, pairs in terms:
+        acc = None
+        for basis, p in reversed(pairs):
+            gi = (2.0 * w * p) @ basis.T
+            acc = gi if acc is None else acc + gi
+        if acc is not None:
+            w2.grad += acc.T
+    return total
 
 
 def overlap_diagnostic(w2_t: np.ndarray, basis: ActivatedBasis) -> float:

@@ -15,9 +15,9 @@ import numpy as np
 from .backbone import AdapterStack, Backbone, begin_task, end_task, forward, predict_logits
 from .errors import ConfigError, DataError, ProtocolError
 from .metrics import AccuracyMatrix, accuracy
-from .numerics import Node, Tape
+from .numerics import Node, Tape, _finite, _gate, _gate_dg, _gate_dtau
 from .optim import make_optimizer
-from .orthogonality import orth_loss_total
+from .orthogonality import orth_loss_grad, orth_loss_total
 from .tasks import TaskStream
 
 VARIANTS = ("oa_adapter", "o_adapter", "inc_adapter")
@@ -87,6 +87,29 @@ def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack
     return loss
 
 
+def penalty_grads(stack: AdapterStack, t: int, ce: float, config: TrainConfig) -> float:
+    """total_loss's penalty terms without a tape: add their gradients into the
+    open task's .grad views and return total_loss's value, given its
+    cross-entropy ce. The tape's expressions, summed in total_loss's order for
+    the value and in the tape's reverse record order for the gradients, so both
+    have the bits of total_loss and Tape.backward. The tape adds the penalties'
+    gradients before the network's, so call this before Tape.backward(ce)."""
+    loss = ce
+    w = config.orth_weight
+    if w > 0.0 and t > 1:
+        loss = loss + orth_loss_grad(stack, t, w) * w
+    if config.mask_enabled and config.lambda_l2 > 0.0:
+        lam = config.lambda_l2
+        for adapter in stack.trainable_adapters():
+            gamma, active, sign = _gate(adapter.g.value, float(adapter.tau.value[0, 0]))
+            loss = loss + float((gamma * gamma).sum()) * lam
+            up = 2.0 * lam * gamma
+            adapter.g.grad += _gate_dg(active, up)
+            if not adapter.tau.frozen:
+                adapter.tau.grad += _gate_dtau(active, sign, up)
+    return _finite(loss, "the penalty terms")
+
+
 def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainConfig,
                seed: int, eval_hook=None) -> int:
     """Optimize the open task's adapters on its data, then freeze the task.
@@ -114,7 +137,9 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
             opt.zero_grad()
             tape = Tape()
             logits = forward(backbone, stack, x_train[idx], tape)
-            tape.backward(total_loss(tape, logits, y_train[idx], stack, t, config))
+            ce = tape.cross_entropy(logits, y_train[idx])
+            penalty_grads(stack, t, float(ce.value[0, 0]), config)
+            tape.backward(ce)
             opt.step()
             for adapter in stack.trainable_adapters():
                 adapter.clamp_tau()

@@ -416,6 +416,15 @@ class TestExitCodes:
                      "--variants", "oa_adapter", "fixed", "--seeds", "0"]) == EXIT_CONFIG
         assert calls == []
 
+    def test_run_checks_its_output_before_generating_data(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "gen_task_stream", lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["run", "--config", str(write_config(tmp_path)),
+                     "--out", str(blocker / "sub")]) == EXIT_CONFIG
+        assert calls == []
+
 
 # A run small enough for hundreds of examples: no pretraining, one task.
 TINY = {

@@ -4,10 +4,12 @@ import pytest
 from oacl.adapters import soft_threshold
 from oacl.backbone import (ADAPTER_PARAMS, AdapterStack, begin_task, build_and_pretrain,
                            end_task, forward)
-from oacl.errors import ConfigError, ProtocolError
+from oacl.errors import ConfigError, NumericalError, ProtocolError
 from oacl.metrics import avg_final_accuracy
-from oacl.numerics import Node, Tape
-from oacl.trainer import TrainConfig, run_sequence, total_loss, train_task
+from oacl.numerics import Node, Tape, zero_grads
+from oacl.optim import make_optimizer
+from oacl.trainer import (SEED_TASK_SHUFFLE, TrainConfig, penalty_grads, run_sequence,
+                          total_loss, train_task)
 from oacl.tasks import gen_base, gen_task_stream
 
 D_IN, D, L, C = 8, 10, 2, 3
@@ -226,6 +228,120 @@ class TestTrainTask:
         after = [a.state_bytes() for point in stack.points
                  for a in point[:1]]
         assert before == after
+
+
+# TrainConfig keywords of each setup the penalty kernel is checked in.
+PENALTY_SETUPS = {
+    "oa_dynamic": {"variant": "oa_adapter", "threshold_mode": "dynamic"},
+    "oa_fixed": {"variant": "oa_adapter", "threshold_mode": "fixed"},
+    "o_adapter": {"variant": "o_adapter"},
+    "inc_adapter": {"variant": "inc_adapter"},
+    "no_l2": {"variant": "oa_adapter", "lambda_l2": 0.0},
+    "no_orth": {"variant": "oa_adapter", "lambda_orth": 0.0},
+}
+
+
+def stack_with_history(cfg, n_frozen, shut=None):
+    """n_frozen tasks frozen and the next one open, each with random
+    up-projections and gates (one gate of each shut). Task ``shut`` is frozen
+    with every gate shut, so its activated bases have width 0. The open τ is
+    frozen in fixed mode, as train_task does."""
+    stack = AdapterStack(L)
+    rng = np.random.default_rng(11)
+    for t in range(1, n_frozen + 2):
+        begin_task(stack, t, cfg.r_max, cfg.tau_init, d=D, rng=rng,
+                   mask_enabled=cfg.mask_enabled)
+        for a in stack.trainable_adapters():
+            a.W2.value[...] = rng.standard_normal(a.W2.shape)
+            if cfg.mask_enabled:
+                a.g.value[...] = 0.0 if t == shut else rng.uniform(-1.0, 1.0, a.g.shape)
+                a.g.value[0, 0] = 0.0
+            if cfg.threshold_mode == "fixed":
+                a.tau.frozen = True
+        if t <= n_frozen:
+            end_task(stack)
+    return stack
+
+
+def open_params(stack):
+    return [p for a in stack.trainable_adapters() for p in a.params() if not p.frozen]
+
+
+class TestPenaltyGrads:
+    """penalty_grads before Tape.backward(ce) against the oracle
+    Tape.backward(total_loss(...)): the same gradient bytes in every open
+    parameter, the same loss bits, and the same flat buffer after training."""
+
+    def one_batch(self, backbone, stack, x, y, cfg, kernel):
+        t = stack.active_task
+        zero_grads(open_params(stack))
+        tape = Tape()
+        logits = forward(backbone, stack, x, tape)
+        if kernel:
+            ce = tape.cross_entropy(logits, y)
+            value = penalty_grads(stack, t, float(ce.value[0, 0]), cfg)
+            tape.backward(ce)
+        else:
+            loss = total_loss(tape, logits, y, stack, t, cfg)
+            value = float(loss.value[0, 0])
+            tape.backward(loss)
+        return value, [p.grad.tobytes() for p in open_params(stack)]
+
+    @pytest.mark.parametrize("setup", list(PENALTY_SETUPS))
+    @pytest.mark.parametrize("n_frozen, shut", [(0, None), (1, None), (3, None), (1, 1), (3, 2)])
+    def test_one_batch_matches_the_tape(self, backbone, stream, setup, n_frozen, shut):
+        cfg = small_config(**PENALTY_SETUPS[setup])
+        stack = stack_with_history(cfg, n_frozen, shut)
+        x, y = stream.tasks[1].train
+        got = self.one_batch(backbone, stack, x[:16], y[:16], cfg, kernel=True)
+        want = self.one_batch(backbone, stack, x[:16], y[:16], cfg, kernel=False)
+        assert got == want
+        ce = float(Tape().cross_entropy(Node(forward(backbone, stack, x[:16]).value),
+                                        y[:16]).value[0, 0])
+        penalised = (cfg.mask_enabled and cfg.lambda_l2 > 0.0) or (cfg.orth_weight > 0.0 and any(
+            b.W2_tilde.shape[1] for bases in stack.bases for b in bases))
+        assert (got[0] > ce) == penalised
+
+    def reference_train(self, backbone, stack, dataset, cfg, seed):
+        """train_task's loop on the tape's total_loss, without end_task."""
+        t = stack.active_task
+        x, y = dataset.train
+        opt = make_optimizer(cfg.optimizer, open_params(stack), cfg.lr)
+        rng = np.random.default_rng([seed, SEED_TASK_SHUFFLE, t])
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(y))
+            for lo in range(0, len(y), cfg.batch_size):
+                idx = order[lo:lo + cfg.batch_size]
+                opt.zero_grad()
+                tape = Tape()
+                logits = forward(backbone, stack, x[idx], tape)
+                tape.backward(total_loss(tape, logits, y[idx], stack, t, cfg))
+                opt.step()
+                for adapter in stack.trainable_adapters():
+                    adapter.clamp_tau()
+        return opt.flat.value.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd_momentum"])
+    @pytest.mark.parametrize("setup", ["oa_dynamic", "oa_fixed", "o_adapter", "inc_adapter"])
+    def test_training_matches_the_tape_loop(self, backbone, stream, setup, optimizer):
+        cfg = small_config(epochs=3, optimizer=optimizer, **PENALTY_SETUPS[setup])
+        want = self.reference_train(backbone, stack_with_history(cfg, 2), stream.tasks[1], cfg, 0)
+        stack = stack_with_history(cfg, 2)
+        params = open_params(stack)
+        train_task(backbone, stack, stream.tasks[1], cfg, 0)
+        assert np.concatenate([p.value.ravel() for p in params]).tobytes() == want
+
+    def test_overflowing_penalty_raises(self, backbone, stream):
+        cfg = small_config()
+        stack = two_task_stack(cfg)
+        stack.bases[0][0].W2_tilde *= 1e160
+        x, y = stream.tasks[1].train
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError):
+                tape = Tape()
+                total_loss(tape, forward(backbone, stack, x[:8], tape), y[:8], stack, 2, cfg)
+            with pytest.raises(NumericalError):
+                train_task(backbone, stack, stream.tasks[1], cfg, 0)
 
 
 class TestRunSequence:
