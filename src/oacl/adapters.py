@@ -20,7 +20,9 @@ class OAAdapter:
     strictly-positive scalar threshold ``tau``. With ``mask_enabled=False``
     the gate path is bypassed (gamma identically 1) and g/tau stay frozen.
     ``freeze`` caches gamma as a constant node, ``frozen_gamma``, which the
-    frozen task's forward pass, fold and activated basis read.
+    frozen task's forward pass and fold read, and the task's activated basis,
+    ``basis``: the (d, r_eff) columns gamma_j * W2[:, j] of its active j.
+    Both are None while the task is open.
     """
 
     def __init__(self, d: int, r_max: int, tau_init: float, rng: np.random.Generator,
@@ -35,6 +37,7 @@ class OAAdapter:
         self.tau = Param([[tau_init]])
         self.mask_enabled = mask_enabled
         self.frozen_gamma: Node | None = None
+        self.basis: np.ndarray | None = None
         if not mask_enabled:
             self.g.frozen = True
             self.tau.frozen = True
@@ -49,7 +52,10 @@ class OAAdapter:
     def freeze(self):
         for p in self.params():
             p.frozen = True
-        self.frozen_gamma = Node(self.gamma())
+        gamma = self.gamma()
+        self.frozen_gamma = Node(gamma)
+        active = np.flatnonzero(gamma != 0.0)
+        self.basis = self.W2.value[:, active] * gamma[active]
 
     def gamma(self) -> np.ndarray:
         """Current mask values as a flat (r_max,) vector."""

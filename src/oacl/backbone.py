@@ -18,7 +18,6 @@ from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
 from .numerics import Node, Param, Tape, _finite, _matmul, _softmax_xent, as_matrix
 from .optim import Adam
-from .orthogonality import activated_basis
 from .tasks import TaskDataset
 
 CHECKPOINT_MAGIC = "OACL1"
@@ -56,15 +55,14 @@ class Backbone:
 class AdapterStack:
     """Per-insertion-point ordered lists of adapters across tasks.
 
-    Tasks 1..t-1 are frozen (with their activated bases cached at freeze
-    time); at most one trainable task exists at any time. For inference,
+    Tasks 1..t-1 are frozen, each adapter with its own activated basis; at
+    most one trainable task exists at any time. For inference,
     ``folded[point]`` sums the frozen tasks' residual maps,
     M = sum_s W2_s diag(gamma_s) W1_s, or is None before the first freeze.
     """
 
     def __init__(self, n_points: int):
         self.points: list[list[OAAdapter]] = [[] for _ in range(n_points)]
-        self.bases: list[list] = [[] for _ in range(n_points)]
         self.folded: list[np.ndarray | None] = [None] * n_points
         self.active_task: int | None = None
 
@@ -98,7 +96,6 @@ def end_task(stack: AdapterStack) -> AdapterStack:
     for point, adapters in enumerate(stack.points):
         a = adapters[t - 1]
         a.freeze()
-        stack.bases[point].append(activated_basis(a))
         term = (a.W2.value * a.frozen_gamma.value) @ a.W1.value
         m = stack.folded[point]
         stack.folded[point] = term if m is None else m + term
@@ -188,7 +185,7 @@ def _pretrain_step(backbone: Backbone, x: np.ndarray, labels: np.ndarray):
 
 
 def build_and_pretrain(seed: int, d_in: int, d: int, L: int, C: int,
-                       pretrain_data: TaskDataset, steps: int = 400,
+                       pretrain_data: TaskDataset, *, steps: int,
                        lr: float = 3e-3, batch_size: int = 32) -> Backbone:
     """Train a fresh backbone on the base distribution, then freeze it.
 
@@ -282,6 +279,11 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
             if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
                 raise ValueError("no magic string")
             d_in, d, L, C = (int(v) for v in z["dims"])
+            # Check the dims against the arrays before they size any allocation.
+            if not 1 <= L <= len(z.files):
+                raise ValueError(f"dims give {L} layers for {len(z.files)} arrays")
+            if z["backbone/embed"].shape != (d, d_in) or z["backbone/head"].shape != (C, d):
+                raise ValueError(f"dims {[d_in, d, L, C]} do not fit the saved arrays")
             backbone = Backbone(d_in, d, L, C, seed=0)
             for key, p in zip(_backbone_keys(L), backbone.params()):
                 _restore(p, z[key])

@@ -90,7 +90,7 @@ def budget_report(stack) -> BudgetReport:
         for t, adapter in enumerate(adapters, start=1):
             if not adapter.frozen:
                 raise ProtocolError(f"task {t} adapter at layer {layer} is not frozen")
-            r = stack.bases[layer][t - 1].W2_tilde.shape[1]
+            r = adapter.basis.shape[1]
             r_eff[(t, layer)] = r
             all_reffs.append(r)
             d, r_max = adapter.d, adapter.r_max

@@ -126,7 +126,7 @@ class TestOuterProductForm:
         assert np.allclose(outer_product_form(ad, x), expected, atol=1e-14)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_equivalence_on_random_configs(self, seed):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 10))
@@ -194,7 +194,7 @@ class TestSnapshotMask:
         assert np.count_nonzero(ad.gamma()) == 0
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_r_eff_equals_direct_count(self, seed):
         rng = np.random.default_rng(seed)
         ad = OAAdapter(4, 6, float(rng.uniform(0.01, 1.0)), rng)

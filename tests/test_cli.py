@@ -456,7 +456,7 @@ YAML_VALUES = st.one_of(
 
 
 class TestMalformedConfigs:
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=250)
     @given(field=st.sampled_from(FIELDS), value=YAML_VALUES)
     def test_any_single_field_value_exits_cleanly(self, field, value):
         """Exit 0, 2 or 3 for any value of any one field; never a traceback."""

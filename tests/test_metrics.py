@@ -84,7 +84,7 @@ class TestForgetting:
         assert forgetting_per_task(m)[0] == pytest.approx(0.3)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_forgetting_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         T = int(rng.integers(1, 6))

@@ -186,7 +186,7 @@ class TestOps:
             t.cross_entropy(Node(np.zeros((2, 3))), np.array([0, 3]))
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_gradient_additivity_at_fanout(self, seed):
         # d(f(x) + g(x))/dx == df/dx + dg/dx exactly
         rng = np.random.default_rng(seed)
@@ -209,7 +209,7 @@ class TestOps:
         assert np.array_equal(combined, first + second)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_composite_graph_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
         a = Param(rng.standard_normal((3, 2)))

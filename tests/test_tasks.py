@@ -132,7 +132,7 @@ class TestDeterminismAndShift:
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=2, max_value=16))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_random_orthogonal_is_orthogonal(self, seed, n):
         q = random_orthogonal(np.random.default_rng(seed), n)
         assert np.abs(q @ q.T - np.eye(n)).max() < 1e-10

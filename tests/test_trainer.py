@@ -122,7 +122,8 @@ class TestTrainableParams:
 
 class TestTotalLoss:
     """total_loss against oracles: a fresh cross-entropy of the same logits,
-    ||W2_t^T W2~_s||_F^2 over the stack's bases and soft_threshold of each gate."""
+    ||W2_t^T W2~_s||_F^2 over the frozen adapters' bases and soft_threshold of
+    each gate."""
 
     def run_loss(self, backbone, cfg, t_data, stack, t):
         tape = Tape()
@@ -136,8 +137,8 @@ class TestTotalLoss:
         stack = two_task_stack(cfg)
         _, loss, ce = self.run_loss(backbone, cfg, stream.tasks[1], stack, 2)
         adapters = stack.trainable_adapters()
-        orth = sum(float(((a.W2.value.T @ basis.W2_tilde) ** 2).sum())
-                   for a, bases in zip(adapters, stack.bases) for basis in bases)
+        orth = sum(float(((a.W2.value.T @ f.basis) ** 2).sum())
+                   for a, point in zip(adapters, stack.points) for f in point[:1])
         sparsity = sum(float((soft_threshold(a.g.value[0], float(a.tau.value[0, 0])) ** 2).sum())
                        for a in adapters)
         assert float(loss.value[0, 0]) == pytest.approx(
@@ -299,7 +300,7 @@ class TestPenaltyGrads:
         ce = float(Tape().cross_entropy(Node(forward(backbone, stack, x[:16]).value),
                                         y[:16]).value[0, 0])
         penalised = (cfg.mask_enabled and cfg.lambda_l2 > 0.0) or (cfg.orth_weight > 0.0 and any(
-            b.W2_tilde.shape[1] for bases in stack.bases for b in bases))
+            a.basis.shape[1] for point in stack.points for a in point[:-1]))
         assert (got[0] > ce) == penalised
 
     def reference_train(self, backbone, stack, dataset, cfg, seed):
@@ -334,7 +335,7 @@ class TestPenaltyGrads:
     def test_overflowing_penalty_raises(self, backbone, stream):
         cfg = small_config()
         stack = two_task_stack(cfg)
-        stack.bases[0][0].W2_tilde *= 1e160
+        stack.points[0][0].basis *= 1e160
         x, y = stream.tasks[1].train
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError):
