@@ -16,7 +16,7 @@ import numpy as np
 from .adapters import OAAdapter, oa_delta
 from .errors import ConfigError, DimensionError, PretrainingError, ProtocolError
 from .metrics import accuracy
-from .numerics import Node, Param, Tape, _finite, _matmul, _softmax_xent, as_matrix
+from .numerics import Node, Param, Tape, _finite, _softmax_xent, as_matrix
 from .optim import Adam
 from .tasks import TaskDataset
 
@@ -26,12 +26,16 @@ SEED_BACKBONE_INIT = 201
 SEED_PRETRAIN_SHUFFLE = 202
 
 
+def check_dims(d_in: int, d: int, L: int, C: int):
+    if min(d_in, d, L, C) < 1:
+        raise ConfigError(f"need d_in, d, L and C >= 1, got {d_in}, {d}, {L} and {C}")
+
+
 class Backbone:
     """Embedding, L hidden layers (tanh), and a global C-class head."""
 
     def __init__(self, d_in: int, d: int, L: int, C: int, seed: int):
-        if L < 1:
-            raise ValueError(f"need at least one hidden layer, got L={L}")
+        check_dims(d_in, d, L, C)
         rng = np.random.default_rng([seed, SEED_BACKBONE_INIT])
 
         def init(rows, cols, fan_in):
@@ -128,32 +132,32 @@ def _numpy_forward(backbone: Backbone, stack: AdapterStack | None,
     except that each layer adds the frozen tasks' deltas as one pre @ M.T; so
     bitwise equal to forward when no task is frozen, and otherwise only the
     summation order differs. Serving keeps only the last output and
-    pretraining keeps them all; tanh runs in place on the layer's own fresh
-    array, so serving holds no more arrays at once than one layer needs."""
+    pretraining keeps them all; tanh checks the layer's sum, then runs in place
+    on it, so serving holds no more arrays at once than one layer needs."""
     if x.shape[1] != backbone.d_in:
         raise DimensionError(f"input width {x.shape[1]} does not match d_in={backbone.d_in}")
-    h = _matmul(x, backbone.embed.value.T)
-    yield np.tanh(h, out=h)
+    h = x @ backbone.embed.value.T
+    yield np.tanh(_finite(h, "the embedding's sum"), out=h)
     for point, w in enumerate(backbone.hidden):
-        h = _matmul(h, w.value.T)
+        h = h @ w.value.T
         if stack is not None:
             pre = h
             if stack.folded[point] is not None:
-                h = _finite(h + _matmul(pre, stack.folded[point].T), "add")
+                h = h + pre @ stack.folded[point].T
             if stack.active_task is not None:
                 a = stack.points[point][stack.active_task - 1]
-                z = _matmul(pre, a.W1.value.T)
+                z = pre @ a.W1.value.T
                 if a.mask_enabled:
-                    z = _finite(z * a.gamma(), "mul")
-                h = _finite(h + _matmul(z, a.W2.value.T), "add")
-        yield np.tanh(h, out=h)
+                    z = z * a.gamma()
+                h = h + z @ a.W2.value.T
+        yield np.tanh(_finite(h, f"hidden layer {point}'s sum"), out=h)
 
 
 def predict_logits(backbone: Backbone, stack: AdapterStack | None, x) -> np.ndarray:
     """Logits for a batch x (n, d_in) through the composed model, without a tape."""
     for h in _numpy_forward(backbone, stack, as_matrix(x)):
         pass
-    return _matmul(h, backbone.head.value.T)
+    return _finite(h @ backbone.head.value.T, "the logits")
 
 
 def check_pretraining(steps: int, batch_size: int):
@@ -171,7 +175,7 @@ def _pretrain_step(backbone: Backbone, x: np.ndarray, labels: np.ndarray):
     optimizer's flat buffer: written in place."""
     hs = list(_numpy_forward(backbone, None, x))
     head = backbone.head.value
-    g = _softmax_xent(_matmul(hs[-1], head.T), labels)[1]
+    g = _softmax_xent(hs[-1] @ head.T, labels)[1]
     g *= 1.0 / len(labels)
     backbone.head.grad += (hs[-1].T @ g).T
     g = g @ head
@@ -280,7 +284,7 @@ def load_checkpoint(path) -> tuple[Backbone, AdapterStack]:
                 raise ValueError("no magic string")
             d_in, d, L, C = (int(v) for v in z["dims"])
             # Check the dims against the arrays before they size any allocation.
-            if not 1 <= L <= len(z.files):
+            if L > len(z.files):  # Backbone checks L >= 1
                 raise ValueError(f"dims give {L} layers for {len(z.files)} arrays")
             if z["backbone/embed"].shape != (d, d_in) or z["backbone/head"].shape != (C, d):
                 raise ValueError(f"dims {[d_in, d, L, C]} do not fit the saved arrays")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .backbone import Backbone, build_and_pretrain, check_pretraining, save_checkpoint
+from .backbone import Backbone, build_and_pretrain, check_dims, check_pretraining, save_checkpoint
 from .errors import ConfigError, DataError, GenerationError, NumericalError, PretrainingError
 from .metrics import avg_final_accuracy, budget_report, forgetting_per_task
 from .orthogonality import stack_overlap_summary
@@ -56,9 +56,7 @@ class BackboneConfig:
     pretrain_batch_size: int = 32
 
     def __post_init__(self):
-        if self.layers < 1 or self.d < 1:
-            raise ConfigError("backbone.layers and backbone.d must be >= 1, "
-                              f"got {self.layers} and {self.d}")
+        check_dims(self.d_in, self.d, self.layers, self.classes)
         if not 0 < self.pretrain_lr < np.inf:
             raise ConfigError("backbone.pretrain_lr must be positive and finite, "
                               f"got {self.pretrain_lr}")
@@ -129,7 +127,8 @@ def _from_yaml(kind, value, where: str):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return [_from_yaml(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+        hint = " (a YAML float needs a dot and a signed exponent: 1.0e-3)" if kind is float else ""
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}{hint}")
     return value
 
 

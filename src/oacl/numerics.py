@@ -6,7 +6,8 @@ keeps only the edges whose input needs a gradient; backward walks the records
 in reverse execution order exactly once and accumulates gradients additively
 at fan-out. A layer's weight matmul ``x @ w.T`` is one record (``linear``).
 Ops wrap their own 2-d float64 outputs as they are; only values from outside
-the tape go through ``as_matrix``.
+the tape go through ``as_matrix``. Only the ``tanh`` op checks values: an inf
+or NaN from any op of a layer reaches its sum, and no op turns it finite again.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def _finite(a: np.ndarray, op: str) -> np.ndarray:
+def _finite(a: np.ndarray, where: str) -> np.ndarray:
     if not np.isfinite(a).all():
-        raise NumericalError(f"non-finite values produced by {op}")
+        raise NumericalError(f"non-finite values in {where}")
     return a
 
 
@@ -73,10 +74,10 @@ def soft_threshold(g, tau: float) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul of two arrays that are already 2-d float64."""
+    """matmul of two arrays that are already 2-d float64, whose shapes must fit."""
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _finite(a @ b, "matmul")
+    return a @ b
 
 
 def _softmax_xent(z: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +152,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _broadcastable(a, b) -> bool:
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a.shape, b.shape))
-
-
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
@@ -163,7 +160,7 @@ class Tape:
     output's gradient to that input's. An edge is kept only when its input
     needs a gradient: an unfrozen Param, or the output of a recorded op. An
     op is recorded only when one of its edges is kept, so no gradient is
-    formed that nothing reads. Every op runs its forward checks either way.
+    formed that nothing reads. Every op checks shapes; tanh also checks values.
     """
 
     def __init__(self):
@@ -207,9 +204,9 @@ class Tape:
         return self._push(_node(a.value.T), ((a, lambda g: g.T),))
 
     def _elementwise(self, a: Node, b: Node, op, name: str) -> Node:
-        if not _broadcastable(a.value, b.value):
+        if not all(x == y or x == 1 or y == 1 for x, y in zip(a.shape, b.shape)):
             raise DimensionError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-        return _node(_finite(op(a.value, b.value), name))
+        return _node(op(a.value, b.value))
 
     def add(self, a: Node, b: Node) -> Node:
         out = self._elementwise(a, b, np.add, "add")
@@ -230,11 +227,11 @@ class Tape:
                                 (b, lambda g: _unbroadcast(g * av, bv.shape))))
 
     def scale(self, a: Node, c: float) -> Node:
-        out = _node(_finite(a.value * c, "scale"))
+        out = _node(a.value * c)
         return self._push(out, ((a, lambda g: g * c),))
 
     def tanh(self, a: Node) -> Node:
-        v = np.tanh(a.value)
+        v = np.tanh(_finite(a.value, "a layer's sum before tanh"))
         return self._push(_node(v), ((a, lambda g: g * (1.0 - v * v)),))
 
     def sum(self, a: Node) -> Node:

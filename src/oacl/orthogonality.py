@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Node, Tape, _finite, _matmul
+from .numerics import Node, Tape
 
 
 def orth_loss_total(tape: Tape, stack, t: int) -> Node:
@@ -28,17 +28,16 @@ def orth_loss_grad(stack, t: int, w: float) -> float:
     """orth_loss_total without a tape: add the gradient of w * orth_loss_total
     into each open W2's .grad and return orth_loss_total's value. The tape's
     expressions, summed in its record order for the value and in its reverse
-    record order for each W2's gradient, so both have the tape's bits. A
-    weighted value that is not finite raises before any gradient is added."""
+    record order for each W2's gradient, so both have the tape's bits. Its
+    caller checks the loss this value is added to, so nothing is checked here."""
     terms = [(adapters[t - 1].W2,
-              [(a.basis, _matmul(adapters[t - 1].W2.value.T, a.basis))
+              [(a.basis, adapters[t - 1].W2.value.T @ a.basis)
                for a in adapters[: t - 1] if a.basis.shape[1] != 0])
              for adapters in stack.points]
     total = 0.0
     for _, pairs in terms:
         for _, p in pairs:
             total = total + float((p * p).sum())
-    _finite(total * w, "the orthogonality penalty")
     for w2, pairs in terms:
         acc = None
         for basis, p in reversed(pairs):

@@ -74,7 +74,7 @@ def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack
                t: int, config: TrainConfig) -> Node:
     """L = mean cross-entropy + orth_weight * sum_{s<t} pair losses
     + lambda_l2 * sum_layers ||gamma_t||^2, as one scalar node. A term whose
-    weight is zero is not recorded."""
+    weight is zero is not recorded. A loss that is not finite raises."""
     if t != stack.active_task:
         raise ProtocolError(f"total_loss for task {t} but active task is {stack.active_task}")
     loss = tape.cross_entropy(logits, labels)
@@ -84,6 +84,7 @@ def total_loss(tape: Tape, logits: Node, labels: np.ndarray, stack: AdapterStack
         for adapter in stack.trainable_adapters():
             gamma = tape.soft_threshold(adapter.g, adapter.tau)
             loss = tape.add(loss, tape.scale(tape.sum_sq(gamma), config.lambda_l2))
+    _finite(loss.value, "the loss")
     return loss
 
 
@@ -107,7 +108,7 @@ def penalty_grads(stack: AdapterStack, t: int, ce: float, config: TrainConfig) -
             adapter.g.grad += _gate_dg(active, up)
             if not adapter.tau.frozen:
                 adapter.tau.grad += _gate_dtau(active, sign, up)
-    return _finite(loss, "the penalty terms")
+    return _finite(loss, "the loss")
 
 
 def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainConfig,
@@ -126,8 +127,8 @@ def train_task(backbone: Backbone, stack: AdapterStack, dataset, config: TrainCo
     if config.threshold_mode == "fixed":
         for adapter in stack.trainable_adapters():
             adapter.tau.frozen = True
-    params = [p for a in stack.trainable_adapters() for p in a.params() if not p.frozen]
-    opt = make_optimizer(config.optimizer, params, config.lr)
+    params = [p for a in stack.trainable_adapters() for p in a.params()]
+    opt = make_optimizer(config.optimizer, params, config.lr)  # packs the unfrozen ones
     rng = np.random.default_rng([seed, SEED_TASK_SHUFFLE, t])
     step = 0
     for _ in range(config.epochs):

@@ -5,7 +5,7 @@ import pytest
 
 from oacl import cli
 from oacl.adapters import OAAdapter
-from oacl.backbone import (SEED_PRETRAIN_SHUFFLE, AdapterStack, Backbone, _pretrain_step,
+from oacl.backbone import (SEED_PRETRAIN_SHUFFLE, AdapterStack, Backbone,
                            begin_task, build_and_pretrain, end_task, forward,
                            load_checkpoint, predict_logits, save_checkpoint)
 from oacl.errors import (ConfigError, DimensionError, NumericalError, PretrainingError,
@@ -326,23 +326,6 @@ class TestPretraining:
         with pytest.raises(PretrainingError):
             build_and_pretrain(0, D_IN, D, L, C, base_data, steps=1)
 
-    @pytest.mark.parametrize("layers, batch, d_in, classes", [
-        (1, 1, D_IN, C), (1, 7, D_IN, 2), (3, 1, D_IN, 2), (3, 7, D_IN, C), (3, 7, D, C)])
-    def test_fused_step_gradients_equal_the_tapes(self, layers, batch, d_in, classes):
-        """The fused step adds the bytes that forward, cross_entropy and
-        backward add, into grads that already hold something."""
-        rng = np.random.default_rng(layers * 10 + batch)
-        x = rng.standard_normal((batch, d_in))
-        y = rng.integers(0, classes, size=batch)
-        fused, taped = (Backbone(d_in, D, layers, classes, seed=5) for _ in range(2))
-        for a, b in zip(fused.params(), taped.params()):
-            a.grad[...] = b.grad[...] = rng.standard_normal(a.grad.shape)
-        _pretrain_step(fused, x, y)
-        tape = Tape()
-        tape.backward(tape.cross_entropy(forward(taped, None, x, tape), y))
-        for a, b in zip(fused.params(), taped.params()):
-            assert a.grad.tobytes() == b.grad.tobytes()
-
     def test_pretraining_equals_a_taped_loop(self, base_data):
         """build_and_pretrain gives the weights and accuracy, to the bit, of the
         same loop run on the tape."""
@@ -472,7 +455,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", ["truncated", "empty", "not_zip", "missing_key",
                                         "short_hidden", "short_W1", "open_before_later",
                                         "tau_1d", "n_tasks_vector", "nan_W1", "nan_tau",
-                                        "dims_width", "dims_input"])
+                                        "dims_width", "dims_input", "dims_zero_width",
+                                        "dims_zero_input"])
     def test_damaged_file_raises_one_value_error(self, tmp_path, damage):
         bb, stack = self.make_pair()
         p = tmp_path / "model.oacl.npz"
@@ -495,6 +479,14 @@ class TestCheckpoint:
                 arrays["adapter/p0/t1/tau"] = arrays["adapter/p0/t1/tau"].reshape(-1)
             elif damage == "n_tasks_vector":
                 arrays["n_tasks"] = np.array([2, 2])
+            elif damage.startswith("dims_zero"):
+                # A zero size, with arrays of the matching empty shapes.
+                arrays["dims"][{"dims_zero_width": 1, "dims_zero_input": 0}[damage]] = 0
+                d_in, d, n_layers, c = arrays["dims"]
+                arrays["backbone/embed"] = np.zeros((d, d_in))
+                arrays["backbone/head"] = np.zeros((c, d))
+                for i in range(n_layers):
+                    arrays[f"backbone/hidden{i}"] = np.zeros((d, d))
             elif damage.startswith("dims"):
                 # Sizes that no allocation could hold: the dims must be checked
                 # against the saved arrays before they size anything.

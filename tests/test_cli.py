@@ -348,6 +348,7 @@ class TestExitCodes:
         {"backbone": {"pretrain_steps": -1}},
         {"backbone": {"pretrain_per_class": 0}},
         {"stream": {"shift": "nope"}},
+        {"train": {"lr": "1e-3"}},
     ], ids=["seed_not_int", "lr_not_number", "zero_layers", "classes_above_d_in",
             "order_repeats", "order_not_list", "zero_tasks", "empty_test_split",
             "seed_float", "compare_seed_float", "seed_negative", "zero_width",
@@ -358,12 +359,21 @@ class TestExitCodes:
             "out_dir_not_str", "compare_seed_repeated", "pretrain_lr_nan",
             "pretrain_lr_inf", "pretrain_lr_zero", "pretrain_lr_negative",
             "compare_variant_repeated", "train_seed", "zero_batch",
-            "pretrain_steps_negative", "pretrain_per_class_zero", "unknown_shift"])
+            "pretrain_steps_negative", "pretrain_per_class_zero", "unknown_shift",
+            "lr_exponent_without_dot"])
     def test_bad_value_rejected_before_compute(self, tmp_path, extra):
         p = write_config(tmp_path, extra)
         out = tmp_path / "o"
         assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_float_without_a_dot_says_how_to_write_it(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-3 as a string: a float needs a dot and a signed exponent
+        p = tmp_path / "exp.yaml"
+        p.write_text("train:\n  lr: 1e-3\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "train.lr: expected float, got '1e-3'" in err and "1.0e-3" in err
 
     @pytest.mark.parametrize("backbone", [
         {"pretrain_steps": 3},

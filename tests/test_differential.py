@@ -10,9 +10,11 @@ training config. Each test checks one path:
   the same gradient bytes and the same loss bits;
 - _pretrain_step against the taped step: the same gradient bytes;
 - train_task against a loop on total_loss: the same parameter bytes.
+A last test scales one part of a drawn model to near overflow and checks that
+every path either raises NumericalError or gives only finite values.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from oacl.backbone import (AdapterStack, Backbone, _pretrain_step, begin_task, end_task,
                            forward, predict_logits)
+from oacl.errors import NumericalError
 from oacl.numerics import Node, Tape, zero_grads
 from oacl.optim import make_optimizer
 from oacl.tasks import TaskDataset
@@ -170,7 +173,13 @@ def test_penalty_grads_match_the_tape(s):
     assert (got[0] > ce) == penalised
 
 
+# One and three layers, one and seven rows: the shapes of the step's first tests.
 @differential
+@example(replace(edge(), L=1, rows=1))
+@example(replace(edge(), L=1, rows=7, C=2))
+@example(replace(edge(), L=3, rows=1, C=2))
+@example(replace(edge(), L=3, rows=7))
+@example(replace(edge(), L=3, rows=7, d_in=8))
 def test_pretrain_step_matches_the_tape(s):
     """The fused step adds the bytes that forward, cross_entropy and backward
     add, into grads that already hold something."""
@@ -215,3 +224,85 @@ def test_train_task_matches_the_tape_loop(s):
     params = open_params(stack)
     train_task(backbone, stack, TaskDataset(stack.active_task, s.batch(), None), s.config, s.seed)
     assert [p.value.tobytes() for p in params] == reference_train(s)
+
+
+SITES = ("input", "embed", "hidden", "head", "open W1", "open W2", "frozen W1", "frozen W2",
+         "basis")
+
+
+def blow_up(site, scale, backbone, stack, x):
+    """x, after one site of the model is multiplied by scale in place: the
+    input, a backbone weight, every open or frozen W1 or W2 (a frozen task's
+    basis and fold follow its weights) or every frozen basis alone. A site
+    that the model lacks is left alone."""
+    if site == "input":
+        return x * scale
+    if site in ("embed", "head"):
+        getattr(backbone, site).value[...] *= scale
+    elif site == "hidden":
+        backbone.hidden[-1].value[...] *= scale
+    elif stack is not None and site.startswith("open"):
+        for a in stack.trainable_adapters():
+            getattr(a, site[-2:]).value[...] *= scale
+    elif stack is not None:
+        for point, adapters in enumerate(stack.points):
+            frozen = adapters[:-1]  # the last task is open
+            for a in frozen:
+                if site == "basis":
+                    a.basis *= scale
+                else:
+                    getattr(a, site[-2:]).value[...] *= scale
+                    a.freeze()
+            if frozen and site != "basis":
+                stack.folded[point] = sum((a.W2.value * a.frozen_gamma.value) @ a.W1.value
+                                          for a in frozen)
+    return x
+
+
+def finite_or_raises(call) -> bool:
+    """Whether call() raises NumericalError or returns only finite arrays."""
+    try:
+        return all(np.isfinite(v).all() for v in call())
+    except NumericalError:
+        return True
+
+
+@settings(max_examples=100)
+@given(draws(), st.sampled_from(SITES), st.sampled_from((1e154, 1e300, 1e308)))
+@example(edge(), "input", 1e308)
+@example(edge(), "head", 1e308)
+@example(edge(), "frozen W2", 1e300)
+@example(edge(), "basis", 1e154)
+def test_overflow_raises_or_stays_finite(s, site, scale):
+    cfg = s.config
+    with np.errstate(all="ignore"):
+        backbone, stack = s.model()
+        x, y = s.batch()
+        x = blow_up(site, scale, backbone, stack, x)
+        t = stack.active_task
+
+        def loss():
+            tape = Tape()
+            return [total_loss(tape, forward(backbone, stack, x, tape), y, stack, t, cfg).value]
+
+        def penalties():
+            params = open_params(stack)
+            zero_grads(params)
+            ce = Tape().cross_entropy(forward(backbone, stack, x), y)
+            return [penalty_grads(stack, t, float(ce.value[0, 0]), cfg)] + [p.grad for p in params]
+
+        def pretrain_step():
+            bb = Backbone(s.d_in, s.d, s.L, s.C, s.seed)
+            xb = blow_up(site, scale, bb, None, s.batch()[0])
+            opt = make_optimizer(cfg.optimizer, bb.params(), cfg.lr)
+            opt.zero_grad()
+            _pretrain_step(bb, xb, y)
+            opt.step()
+            return [p.value for p in bb.params()]
+
+        assert finite_or_raises(loss)
+        assert finite_or_raises(penalties)
+        assert finite_or_raises(pretrain_step)
+        if not s.open_task:
+            end_task(stack)
+        assert finite_or_raises(lambda: [predict_logits(backbone, stack, x)])

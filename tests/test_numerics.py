@@ -36,10 +36,14 @@ class TestMatmul:
             _matmul(np.ones((2, 3)), np.ones((2, 3)))
 
     def test_overflow_raises_numerical_error(self):
+        """An overflowing product raises where a layer's sum is read: at tanh."""
         t = Tape()
         big = Node(np.full((2, 2), 1e200))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="matmul"):
-            t.matmul(big, big)
+        with np.errstate(over="ignore"):
+            out = t.add(t.matmul(big, big), big)
+            assert np.isinf(out.value).all()
+            with pytest.raises(NumericalError, match="tanh"):
+                t.tanh(out)
 
 
 class TestLinear:

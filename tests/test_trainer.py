@@ -3,14 +3,14 @@ import pytest
 
 from oacl.adapters import soft_threshold
 from oacl.backbone import (ADAPTER_PARAMS, AdapterStack, begin_task, build_and_pretrain,
-                           end_task, forward)
+                           end_task, forward, predict_logits)
 from oacl.errors import ConfigError, NumericalError, ProtocolError
 from oacl.metrics import avg_final_accuracy
 from oacl.numerics import Node, Tape, zero_grads
 from oacl.optim import make_optimizer
 from oacl.trainer import (SEED_TASK_SHUFFLE, TrainConfig, penalty_grads, run_sequence,
                           total_loss, train_task)
-from oacl.tasks import gen_base, gen_task_stream
+from oacl.tasks import TaskDataset, gen_base, gen_task_stream
 
 D_IN, D, L, C = 8, 10, 2, 3
 
@@ -343,6 +343,40 @@ class TestPenaltyGrads:
                 total_loss(tape, forward(backbone, stack, x[:8], tape), y[:8], stack, 2, cfg)
             with pytest.raises(NumericalError):
                 train_task(backbone, stack, stream.tasks[1], cfg, 0)
+
+
+class TestFiniteChecks:
+    """A value is checked once, where it is read: each layer's sum before its
+    tanh, the served logits, the loss and the optimizer's gradient. So the
+    number of checks does not grow with the number of tasks."""
+
+    @staticmethod
+    def count_checks(call) -> int:
+        calls = []
+        real = np.isfinite
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np, "isfinite", lambda a: calls.append(a) or real(a))
+            call()
+        return len(calls)
+
+    @pytest.mark.parametrize("n_frozen", [0, 2], ids=["1_task", "3_tasks"])
+    def test_one_training_step(self, backbone, stream, n_frozen):
+        cfg = small_config(epochs=1, batch_size=8)
+        stack = stack_with_history(cfg, n_frozen)
+        x, y = stream.tasks[1].train
+        batch = TaskDataset(stack.active_task, (x[:8], y[:8]), None)
+        steps = []
+        n = self.count_checks(lambda: steps.append(train_task(backbone, stack, batch, cfg, 0)))
+        assert steps == [1]
+        assert n == (L + 1) + 1 + 1  # the layer sums, the loss, the gradient
+
+    def test_one_serving_call_on_a_frozen_stack(self, backbone, stream):
+        cfg = small_config()
+        stack = stack_with_history(cfg, 2)
+        end_task(stack)
+        x, _ = stream.tasks[1].test
+        n = self.count_checks(lambda: predict_logits(backbone, stack, x))
+        assert n == (L + 1) + 1  # the layer sums, the logits
 
 
 class TestRunSequence:
